@@ -48,9 +48,7 @@ realMain(int argc, char **argv)
     }
 
     cpu::Table4Result t4 = cpu::computeTable4(opt);
-    cpu::appendSuiteCounters(t4.planar, cli.counters(), "cpu.planar.");
-    cpu::appendSuiteCounters(t4.stacked, cli.counters(),
-                             "cpu.stacked.");
+    cpu::appendTable4Counters(t4, cli.counters());
 
     if (!cli.quiet()) {
         static const double paper_gain[cpu::kNumPaths] = {

@@ -129,10 +129,7 @@ runLogicStudy(const RunOptions &options, const LogicStudySpec &spec)
     });
 
     report.meta = tracker.finish();
-    cpu::appendSuiteCounters(result.table4.planar,
-                             report.meta.counters, "cpu.planar.");
-    cpu::appendSuiteCounters(result.table4.stacked,
-                             report.meta.counters, "cpu.stacked.");
+    cpu::appendTable4Counters(result.table4, report.meta.counters);
     thermal::appendSolveCounters(report.meta.counters,
                                  "thermal.fig11_planar.",
                                  result.fig11.planar.solve);

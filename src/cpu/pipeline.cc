@@ -1,6 +1,7 @@
 #include "pipeline.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.hh"
 #include "obs/trace.hh"
@@ -9,30 +10,25 @@ namespace stack3d {
 namespace cpu {
 
 using workloads::CpuUop;
-using workloads::MemLevel;
 using workloads::UopClass;
 
 namespace {
 
-/** A pool of k pipelined units: returns the start cycle granted. */
-class UnitPool
+static_assert(unsigned(UopClass::Branch) + 1 == kNumUopClasses,
+              "the latency table needs a row per uop class");
+static_assert(unsigned(workloads::MemLevel::Memory) + 1 == kNumMemLevels,
+              "the latency table needs a column per memory level");
+
+/** Index of an execution-unit pool in PipelineTiming::pool_units. */
+enum PoolId : std::uint8_t
 {
-  public:
-    explicit UnitPool(unsigned count) : _next_free(count, 0) {}
-
-    Cycles
-    acquire(Cycles ready)
-    {
-        auto it = std::min_element(_next_free.begin(),
-                                   _next_free.end());
-        Cycles start = std::max(ready, *it);
-        *it = start + 1;   // fully pipelined: one issue per cycle
-        return start;
-    }
-
-  private:
-    std::vector<Cycles> _next_free;
+    IntUnits,
+    FpUnits,
+    SimdUnits,
+    LoadPorts,
+    StorePorts,
 };
+static_assert(StorePorts + 1 == kNumUnitPools);
 
 /** Deterministic per-uop hash for trace-break decisions. */
 inline bool
@@ -45,13 +41,74 @@ hashChance(std::uint64_t i, double p)
 
 } // anonymous namespace
 
-PipelineModel::PipelineModel(const PipelineConfig &config)
-    : _config(config)
+PipelineTiming
+PipelineTiming::lower(const PipelineConfig &cfg)
 {
-    stack3d_assert(config.fetch_width > 0 && config.retire_width > 0,
+    stack3d_assert(cfg.fetch_width > 0 && cfg.retire_width > 0,
                    "pipeline widths must be positive");
-    stack3d_assert(config.rob_size > 0 && config.store_queue_size > 0,
+    stack3d_assert(cfg.rob_size > 0 && cfg.store_queue_size > 0,
                    "pipeline structures must be non-empty");
+
+    PipelineTiming t;
+    // Front pipeline depth from fetch to execute-ready: trace cache
+    // read, decode/deliver, rename/alloc, register read.
+    t.front_depth = Cycles(cfg.trace_cache_stages) +
+                    cfg.frontend_stages + cfg.rename_stages +
+                    cfg.int_rf_stages;
+    // Fetch resumes after resolution plus the back-end share of the
+    // redirect; the front pipeline refill (front_depth) is paid
+    // naturally by later uops. Allocation cannot restart until the
+    // flushed entries' resources have been reclaimed, which takes the
+    // retire-to-deallocation pipeline.
+    t.redirect_cycles = (cfg.mispredictPenalty() - t.front_depth) +
+                        cfg.retire_dealloc_stages;
+    t.pool_release = cfg.retire_dealloc_stages;
+    t.sq_release = Cycles(cfg.store_lifetime) + cfg.retire_dealloc_stages;
+    t.instr_loop = cfg.instr_loop_stages;
+
+    auto set = [&](UopClass cls, PoolId pool, Cycles l1, Cycles l2,
+                   Cycles memory) {
+        t.pool[unsigned(cls)] = pool;
+        t.latency[unsigned(cls)] = {l1, l2, memory};
+    };
+    const Cycles int_lat = cfg.int_latency;
+    const Cycles fp_lat = Cycles(cfg.fp_latency) + cfg.fp_extra_latency;
+    const Cycles d = cfg.dcache_stages;
+    const Cycles l2 = d + cfg.l2_latency;
+    const Cycles mem = d + cfg.memory_latency;
+    const Cycles fp_load = cfg.fp_load_extra;
+    set(UopClass::IntAlu, IntUnits, int_lat, int_lat, int_lat);
+    set(UopClass::FpOp, FpUnits, fp_lat, fp_lat, fp_lat);
+    set(UopClass::SimdOp, SimdUnits, cfg.simd_latency, cfg.simd_latency,
+        cfg.simd_latency);
+    set(UopClass::Load, LoadPorts, d, l2, mem);
+    set(UopClass::FpLoad, LoadPorts, d + fp_load, l2 + fp_load,
+        mem + fp_load);
+    // Address generation / store-queue write.
+    set(UopClass::Store, StorePorts, 1, 1, 1);
+    set(UopClass::Branch, IntUnits, int_lat, int_lat, int_lat);
+
+    t.pool_units = {cfg.num_int_units, cfg.num_fp_units,
+                    cfg.num_simd_units, cfg.num_load_ports,
+                    cfg.num_store_ports};
+    for (unsigned units : t.pool_units) {
+        stack3d_assert(units > 0 && units <= kMaxPoolUnits,
+                       "execution unit pools hold 1..", kMaxPoolUnits,
+                       " units, not ", units);
+    }
+
+    t.rob_size = cfg.rob_size;
+    t.alloc_pool_size = cfg.alloc_pool_size;
+    t.store_queue_size = cfg.store_queue_size;
+    t.fetch_width = cfg.fetch_width;
+    t.retire_width = cfg.retire_width;
+    t.trace_break_rate = cfg.trace_break_rate;
+    return t;
+}
+
+PipelineModel::PipelineModel(const PipelineConfig &config)
+    : _timing(PipelineTiming::lower(config))
+{
 }
 
 CpuResult
@@ -64,27 +121,30 @@ PipelineModel::run(const std::vector<CpuUop> &uops) const
     if (uops.empty())
         return result;
 
-    const PipelineConfig &cfg = _config;
-    std::size_t n = uops.size();
+    const PipelineTiming &t = _timing;
+    const std::size_t n = uops.size();
 
-    // Front pipeline depth from fetch to execute-ready: trace cache
-    // read, decode/deliver, rename/alloc, register read.
-    const Cycles front_depth = cfg.trace_cache_stages +
-                               cfg.frontend_stages + cfg.rename_stages +
-                               cfg.int_rf_stages;
-
-    std::vector<Cycles> done(n, 0);
+    // done[i + 1] is uop i's completion; done[0] stays 0 and stands
+    // in for "no producer", so operand reads need no branch.
+    std::vector<Cycles> done(n + 1, 0);
     std::vector<Cycles> retire(n, 0);
 
-    // Ring of store retire times for store-queue occupancy.
-    std::vector<std::uint64_t> store_indices;
-    store_indices.reserve(n / 4 + 1);
+    // Release cycles of the last store_queue_size stores, oldest at
+    // sq_head: 0 (never blocks) until the queue first fills.
+    std::vector<Cycles> sq(t.store_queue_size, 0);
+    std::size_t sq_head = 0;
 
-    UnitPool int_units(cfg.num_int_units);
-    UnitPool fp_units(cfg.num_fp_units);
-    UnitPool simd_units(cfg.num_simd_units);
-    UnitPool load_ports(cfg.num_load_ports);
-    UnitPool store_ports(cfg.num_store_ports);
+    // Next free cycle of every unit (fully pipelined: one issue per
+    // cycle). A pool's slots past its unit count are never free.
+    std::array<std::array<Cycles, kMaxPoolUnits>, kNumUnitPools>
+        next_free;
+    for (unsigned p = 0; p < kNumUnitPools; ++p) {
+        for (unsigned k = 0; k < kMaxPoolUnits; ++k) {
+            next_free[p][k] = k < t.pool_units[p]
+                                  ? 0
+                                  : std::numeric_limits<Cycles>::max();
+        }
+    }
 
     // In-order fetch: groups of fetch_width per cycle, pushed out by
     // redirects and bubbles.
@@ -92,148 +152,97 @@ PipelineModel::run(const std::vector<CpuUop> &uops) const
     unsigned fetch_in_group = 0;
 
     Cycles prev_dispatch = 0;
+    Cycles prev_retire = 0;
 
     for (std::size_t i = 0; i < n; ++i) {
         const CpuUop &uop = uops[i];
+        const unsigned cls = unsigned(uop.cls);
 
         // ---- fetch ----
-        if (fetch_in_group >= cfg.fetch_width) {
+        if (fetch_in_group >= t.fetch_width) {
             fetch_in_group = 0;
             ++fetch_cycle;
         }
-        Cycles fetch_time = fetch_cycle;
+        const Cycles fetch_time = fetch_cycle;
         ++fetch_in_group;
 
         // ---- dispatch (rename/alloc output, in order) ----
-        Cycles dispatch = std::max(fetch_time + front_depth,
+        Cycles dispatch = std::max(fetch_time + t.front_depth,
                                    prev_dispatch);
 
-        // ROB window: the uop rob_size back must have retired.
-        if (i >= cfg.rob_size) {
-            Cycles rob_ready = retire[i - cfg.rob_size];
-            if (rob_ready > dispatch) {
-                result.window_stall_cycles += rob_ready - dispatch;
-                dispatch = rob_ready;
-            }
+        // ROB window (the uop rob_size back must have retired) and
+        // rename pool (resources recycle pool_release after
+        // retirement).
+        Cycles window = dispatch;
+        if (i >= t.rob_size)
+            window = std::max(window, retire[i - t.rob_size]);
+        if (i >= t.alloc_pool_size) {
+            window = std::max(window, retire[i - t.alloc_pool_size] +
+                                          t.pool_release);
         }
+        result.window_stall_cycles += window - dispatch;
+        dispatch = window;
 
-        // Rename pool: resources recycle retire_dealloc stages after
-        // retirement.
-        if (i >= cfg.alloc_pool_size) {
-            Cycles pool_ready = retire[i - cfg.alloc_pool_size] +
-                                cfg.retire_dealloc_stages;
-            if (pool_ready > dispatch) {
-                result.window_stall_cycles += pool_ready - dispatch;
-                dispatch = pool_ready;
-            }
+        // Store queue: entries live until sq_release past retire.
+        const bool is_store = uop.cls == UopClass::Store;
+        if (is_store) {
+            Cycles sq_ready = std::max(dispatch, sq[sq_head]);
+            result.sq_stall_cycles += sq_ready - dispatch;
+            dispatch = sq_ready;
         }
-
-        // Store queue: entries live until store_lifetime past retire.
-        if (uop.cls == UopClass::Store) {
-            if (store_indices.size() >= cfg.store_queue_size) {
-                std::uint64_t old = store_indices[store_indices.size() -
-                                                  cfg.store_queue_size];
-                Cycles sq_ready = retire[old] + cfg.store_lifetime +
-                                  cfg.retire_dealloc_stages;
-                if (sq_ready > dispatch) {
-                    result.sq_stall_cycles += sq_ready - dispatch;
-                    dispatch = sq_ready;
-                }
-            }
-            store_indices.push_back(i);
-        }
-
         prev_dispatch = dispatch;
 
         // ---- operand readiness ----
         Cycles ready = dispatch;
         for (unsigned s = 0; s < 2; ++s) {
-            if (uop.src_dist[s] != 0 && uop.src_dist[s] <= i) {
-                ready = std::max(ready, done[i - uop.src_dist[s]]);
-            }
+            // A distance of 0 (no dependency) or past the trace start
+            // wraps or overshoots to slot 0.
+            std::size_t dist = uop.src_dist[s];
+            std::size_t slot = dist - 1 < i ? i + 1 - dist : 0;
+            ready = std::max(ready, done[slot]);
         }
 
         // ---- issue + execute ----
-        Cycles finish;
-        switch (uop.cls) {
-          case UopClass::IntAlu: {
-            Cycles start = int_units.acquire(ready);
-            finish = start + cfg.int_latency;
-            break;
-          }
-          case UopClass::FpOp: {
-            Cycles start = fp_units.acquire(ready);
-            finish = start + cfg.fp_latency + cfg.fp_extra_latency;
-            break;
-          }
-          case UopClass::SimdOp: {
-            Cycles start = simd_units.acquire(ready);
-            finish = start + cfg.simd_latency;
-            break;
-          }
-          case UopClass::Load:
-          case UopClass::FpLoad: {
-            Cycles start = load_ports.acquire(ready);
-            Cycles lat = cfg.dcache_stages;
-            if (uop.mem_level == MemLevel::L2)
-                lat += cfg.l2_latency;
-            else if (uop.mem_level == MemLevel::Memory)
-                lat += cfg.memory_latency;
-            if (uop.cls == UopClass::FpLoad)
-                lat += cfg.fp_load_extra;
-            finish = start + lat;
-            break;
-          }
-          case UopClass::Store: {
-            Cycles start = store_ports.acquire(ready);
-            finish = start + 1;   // address generation / SQ write
-            break;
-          }
-          case UopClass::Branch: {
-            Cycles start = int_units.acquire(ready);
-            finish = start + cfg.int_latency;
-            break;
-          }
-          default:
-            finish = ready + 1;
-            break;
-        }
-        done[i] = finish;
+        auto &units = next_free[t.pool[cls]];
+        unsigned unit = 0;
+        for (unsigned k = 1; k < kMaxPoolUnits; ++k)
+            unit = units[k] < units[unit] ? k : unit;
+        const Cycles start = std::max(ready, units[unit]);
+        units[unit] = start + 1;
+        const Cycles finish =
+            start + t.latency[cls][unsigned(uop.mem_level)];
+        done[i + 1] = finish;
 
         // ---- retire (in order, retire_width per cycle) ----
-        Cycles ret = finish;
-        if (i > 0)
-            ret = std::max(ret, retire[i - 1]);
-        if (i >= cfg.retire_width)
-            ret = std::max(ret, retire[i - cfg.retire_width] + 1);
+        Cycles ret = std::max(finish, prev_retire);
+        if (i >= t.retire_width)
+            ret = std::max(ret, retire[i - t.retire_width] + 1);
         retire[i] = ret;
+        prev_retire = ret;
+
+        if (is_store) {
+            sq[sq_head] = ret + t.sq_release;
+            sq_head = sq_head + 1 == sq.size() ? 0 : sq_head + 1;
+        }
 
         // ---- control flow ----
         if (uop.cls == UopClass::Branch) {
             if (uop.mispredict) {
                 ++result.mispredicts;
-                // Fetch resumes after resolution plus the back-end
-                // share of the redirect; the front pipeline refill
-                // (front_depth) is paid naturally by later uops.
-                // Allocation cannot restart until the flushed
-                // entries' resources have been reclaimed, which
-                // takes the retire-to-deallocation pipeline.
-                Cycles resume = done[i] +
-                                (cfg.mispredictPenalty() - front_depth) +
-                                cfg.retire_dealloc_stages;
+                Cycles resume = finish + t.redirect_cycles;
                 if (resume > fetch_cycle) {
                     fetch_cycle = resume;
                     fetch_in_group = 0;
                 }
-            } else if (hashChance(i, cfg.trace_break_rate)) {
+            } else if (hashChance(i, t.trace_break_rate)) {
                 ++result.trace_breaks;
-                fetch_cycle += cfg.instr_loop_stages;
+                fetch_cycle += t.instr_loop;
                 fetch_in_group = 0;
             }
         }
     }
 
-    result.cycles = retire[n - 1];
+    result.cycles = prev_retire;
     result.ipc = double(n) / double(result.cycles);
     return result;
 }

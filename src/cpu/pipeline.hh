@@ -16,11 +16,17 @@
  *   - the instruction-loop bubble hits trace-breaking branches;
  *   - retire-to-deallocation delays rename-pool recycling;
  *   - the store lifetime holds store-queue entries past retirement.
+ *
+ * A PipelineConfig is first lowered to a PipelineTiming: exactly the
+ * values the simulation reads. Configs that lower to equal timings
+ * produce equal results on every trace, which is what lets Table 4
+ * simulate each distinct timing once.
  */
 
 #ifndef STACK3D_CPU_PIPELINE_HH
 #define STACK3D_CPU_PIPELINE_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -43,6 +49,59 @@ struct CpuResult
     std::uint64_t sq_stall_cycles = 0;
     /** Dispatch cycles lost to ROB / rename-pool pressure. */
     std::uint64_t window_stall_cycles = 0;
+
+    bool operator==(const CpuResult &) const = default;
+};
+
+/** µop classes (workloads::UopClass enumerators). */
+constexpr unsigned kNumUopClasses = 7;
+/** Hierarchy levels a load can hit (workloads::MemLevel). */
+constexpr unsigned kNumMemLevels = 3;
+/** Execution-unit pools: integer, FP, SIMD, load and store ports. */
+constexpr unsigned kNumUnitPools = 5;
+/** Most units one pool may hold. */
+constexpr unsigned kMaxPoolUnits = 4;
+
+/**
+ * A PipelineConfig lowered to exactly the values PipelineModel::run
+ * reads. Equal timings simulate identically on every trace.
+ */
+struct PipelineTiming
+{
+    /** Fetch to dispatch: trace cache + front end + rename + RF. */
+    Cycles front_depth = 0;
+    /** Resolution to fetch restart after a misprediction: the
+     *  back-end share of the penalty plus retire-to-deallocation. */
+    Cycles redirect_cycles = 0;
+    /** Retire to rename-pool release. */
+    Cycles pool_release = 0;
+    /** Retire to store-queue release (lifetime + deallocation). */
+    Cycles sq_release = 0;
+    /** Fetch bubble of a trace-breaking branch. */
+    Cycles instr_loop = 0;
+
+    /** Issue-to-completion latency by [µop class][memory level]. */
+    std::array<std::array<Cycles, kNumMemLevels>, kNumUopClasses>
+        latency{};
+    /** Unit pool each µop class issues to. */
+    std::array<std::uint8_t, kNumUopClasses> pool{};
+    /** Units in each pool. */
+    std::array<unsigned, kNumUnitPools> pool_units{};
+
+    unsigned rob_size = 0;
+    unsigned alloc_pool_size = 0;
+    unsigned store_queue_size = 0;
+    unsigned fetch_width = 0;
+    unsigned retire_width = 0;
+    double trace_break_rate = 0.0;
+
+    bool operator==(const PipelineTiming &) const = default;
+
+    /**
+     * Lower @p config, which must have positive widths, non-empty
+     * structures and 1..kMaxPoolUnits units per pool.
+     */
+    static PipelineTiming lower(const PipelineConfig &config);
 };
 
 /** The pipeline timing model. */
@@ -51,13 +110,13 @@ class PipelineModel
   public:
     explicit PipelineModel(const PipelineConfig &config);
 
-    const PipelineConfig &config() const { return _config; }
+    const PipelineTiming &timing() const { return _timing; }
 
     /** Simulate one µop trace. */
     CpuResult run(const std::vector<workloads::CpuUop> &uops) const;
 
   private:
-    PipelineConfig _config;
+    PipelineTiming _timing;
 };
 
 } // namespace cpu

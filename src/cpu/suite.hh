@@ -4,6 +4,13 @@
  * synthetic single-thread traces (Section 2.2's populations) through
  * pipeline configurations and aggregates speedups, reproducing
  * Table 4's per-path attribution.
+ *
+ * Table 4 compares twelve configurations: planar, each path reduced
+ * alone, and all paths reduced. They lower to nine distinct
+ * PipelineTimings (the four front-end paths each remove one stage of
+ * the same in-order front depth), so each distinct timing is
+ * simulated once per trace and every row is derived from those
+ * per-trace results.
  */
 
 #ifndef STACK3D_CPU_SUITE_HH
@@ -73,6 +80,11 @@ struct Table4Result
     double total_perf_gain_pct = 0.0;
     SuiteResult planar;
     SuiteResult stacked;
+
+    /** Distinct pipeline timings simulated over the suite. */
+    unsigned timings = 0;
+    /** µops simulated: timings x traces x µops per trace. */
+    std::uint64_t simulated_uops = 0;
 };
 
 /**
@@ -84,12 +96,11 @@ class TraceSuite
   public:
     explicit TraceSuite(const SuiteOptions &options);
 
-    /** Run one configuration over every trace. */
-    SuiteResult run(const PipelineConfig &config) const;
+    /** Simulate every trace under @p model, in suite order. */
+    std::vector<CpuResult> simulate(const PipelineModel &model) const;
 
-    /** Geomean speedup of @p config relative to @p baseline. */
-    double speedupOver(const PipelineConfig &baseline,
-                       const PipelineConfig &config) const;
+    /** Aggregate simulate()'s per-trace results into a SuiteResult. */
+    SuiteResult summarize(const std::vector<CpuResult> &per_trace) const;
 
     unsigned numTraces() const { return unsigned(_traces.size()); }
 
@@ -107,13 +118,14 @@ class TraceSuite
 Table4Result computeTable4(const SuiteOptions &options = {});
 
 /**
- * Fold a suite run's aggregate pipeline counters into @p out under
- * @p prefix (e.g. "cpu.planar."): uops, cycles, ipc, mispredicts,
- * trace_breaks, and the per-cause stall-cycle attribution.
+ * Fold Table 4's work and pipeline counters into @p out: the planar
+ * and stacked suite aggregates under "cpu.planar." and "cpu.stacked."
+ * (uops, cycles, ipc, mispredicts, trace_breaks, and the per-cause
+ * stall-cycle attribution), plus "cpu.table4.timings" and
+ * "cpu.table4.simulated_uops".
  */
-void appendSuiteCounters(const SuiteResult &result,
-                         obs::CounterSet &out,
-                         const std::string &prefix);
+void appendTable4Counters(const Table4Result &result,
+                          obs::CounterSet &out);
 
 } // namespace cpu
 } // namespace stack3d

@@ -25,7 +25,8 @@ cpuAppClasses(bool full_suite)
         p.frac_load = 0.24; p.frac_store = 0.11; p.frac_branch = 0.19;
         p.mispredict_rate = 0.072; p.mean_dep_dist = 6.5;
         p.l1_miss_rate = 0.04; p.l2_miss_rate = 0.15;
-        classes.push_back({p.name, p, scale(96)});
+        classes.push_back(
+            {p.name, p, scale(96), 0x0cb3aa50ef11aff4ULL});
     }
     {
         CpuWorkloadParams p;
@@ -35,7 +36,8 @@ cpuAppClasses(bool full_suite)
         p.mispredict_rate = 0.016; p.mean_dep_dist = 9.0;
         p.fp_chain = 0.78;
         p.l1_miss_rate = 0.07; p.l2_miss_rate = 0.30;
-        classes.push_back({p.name, p, scale(96)});
+        classes.push_back(
+            {p.name, p, scale(96), 0x73f29a8803ef5035ULL});
     }
     {
         CpuWorkloadParams p;
@@ -45,7 +47,8 @@ cpuAppClasses(bool full_suite)
         p.mispredict_rate = 0.008; p.mean_dep_dist = 10.0;
         p.fp_chain = 0.85;
         p.l1_miss_rate = 0.05; p.l2_miss_rate = 0.25;
-        classes.push_back({p.name, p, scale(64)});
+        classes.push_back(
+            {p.name, p, scale(64), 0x11432fe59d689af3ULL});
     }
     {
         CpuWorkloadParams p;
@@ -54,7 +57,8 @@ cpuAppClasses(bool full_suite)
         p.frac_branch = 0.08;
         p.mispredict_rate = 0.026; p.mean_dep_dist = 8.0;
         p.l1_miss_rate = 0.05; p.l2_miss_rate = 0.18;
-        classes.push_back({p.name, p, scale(88)});
+        classes.push_back(
+            {p.name, p, scale(88), 0xb6dfc8be77be66d0ULL});
     }
     {
         CpuWorkloadParams p;
@@ -62,7 +66,8 @@ cpuAppClasses(bool full_suite)
         p.frac_load = 0.26; p.frac_store = 0.13; p.frac_branch = 0.20;
         p.mispredict_rate = 0.085; p.mean_dep_dist = 6.0;
         p.l1_miss_rate = 0.05; p.l2_miss_rate = 0.22;
-        classes.push_back({p.name, p, scale(80)});
+        classes.push_back(
+            {p.name, p, scale(80), 0x7eb898a648e83046ULL});
     }
     {
         CpuWorkloadParams p;
@@ -70,7 +75,8 @@ cpuAppClasses(bool full_suite)
         p.frac_load = 0.25; p.frac_store = 0.14; p.frac_branch = 0.18;
         p.mispredict_rate = 0.065; p.mean_dep_dist = 6.0;
         p.l1_miss_rate = 0.045; p.l2_miss_rate = 0.20;
-        classes.push_back({p.name, p, scale(88)});
+        classes.push_back(
+            {p.name, p, scale(88), 0x965847c9e739d9bbULL});
     }
     {
         CpuWorkloadParams p;
@@ -78,7 +84,8 @@ cpuAppClasses(bool full_suite)
         p.frac_load = 0.28; p.frac_store = 0.15; p.frac_branch = 0.17;
         p.mispredict_rate = 0.078; p.mean_dep_dist = 5.5;
         p.l1_miss_rate = 0.09; p.l2_miss_rate = 0.40;
-        classes.push_back({p.name, p, scale(80)});
+        classes.push_back(
+            {p.name, p, scale(80), 0x2042d79a31d5ef4aULL});
     }
     {
         CpuWorkloadParams p;
@@ -88,7 +95,8 @@ cpuAppClasses(bool full_suite)
         p.mispredict_rate = 0.04; p.mean_dep_dist = 7.5;
         p.fp_chain = 0.45;
         p.l1_miss_rate = 0.06; p.l2_miss_rate = 0.25;
-        classes.push_back({p.name, p, scale(64)});
+        classes.push_back(
+            {p.name, p, scale(64), 0x21517500eb04ffeeULL});
     }
     return classes;
 }
@@ -97,8 +105,7 @@ CpuWorkloadParams
 makeVariantParams(const CpuAppClass &cls, unsigned idx)
 {
     CpuWorkloadParams p = cls.params;
-    Random rng(0xabcdef ^ (std::uint64_t(idx) << 16) ^
-               std::hash<std::string>{}(cls.name));
+    Random rng(0xabcdef ^ (std::uint64_t(idx) << 16) ^ cls.seed_salt);
     auto jitter = [&](double v, double rel = 0.2) {
         return v * rng.uniformDouble(1.0 - rel, 1.0 + rel);
     };

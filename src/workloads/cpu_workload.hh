@@ -104,6 +104,13 @@ struct CpuAppClass
     CpuWorkloadParams params;
     /** Number of trace variants in the suite for this class. */
     unsigned variants;
+    /**
+     * Per-class salt mixed into every variant and trace seed. The
+     * values are fixed constants (what libstdc++'s 64-bit
+     * std::hash<std::string> gives for the class name), so every
+     * standard library generates the same suite.
+     */
+    std::uint64_t seed_salt;
 };
 
 /**

@@ -147,11 +147,21 @@ TEST(LogicStudy, EndToEndShape)
     spec.suite.uops_per_trace = 8000;
     spec.die_nx = 25;
     spec.die_ny = 23;
-    LogicStudyResult r = runLogicStudy(opts, spec).payload;
+    StudyReport<LogicStudyResult> report = runLogicStudy(opts, spec);
+    const LogicStudyResult &r = report.payload;
 
     // Table 4: ten rows, positive total gain.
     EXPECT_EQ(r.table4.rows.size(), 10u);
     EXPECT_GT(r.table4.total_perf_gain_pct, 5.0);
+
+    // Its twelve configurations ran as nine distinct timings, each
+    // over every trace once.
+    const obs::CounterSet &counters = report.meta.counters;
+    const std::uint64_t traces = r.table4.planar.num_traces;
+    EXPECT_EQ(traces, 82u);
+    EXPECT_EQ(counters.value("cpu.table4.timings"), 9.0);
+    EXPECT_EQ(counters.value("cpu.table4.simulated_uops"),
+              double(9u * traces * 8000u));
 
     // Power roll-up ~15%.
     EXPECT_NEAR(r.power_saving_3d, 0.15, 0.03);

@@ -2,10 +2,16 @@
  * @file
  * Tests for the Pentium 4-class pipeline model: configuration,
  * dataflow/structural/control timing behaviours, per-path
- * monotonicity, and the benchmark-suite driver.
+ * monotonicity, config lowering, and the benchmark-suite driver with
+ * Table 4 pinned bit for bit.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "cpu/config.hh"
 #include "cpu/pipeline.hh"
@@ -241,21 +247,11 @@ TEST(Suite, RunsAllClasses)
     TraceSuite suite(opt);
     EXPECT_GE(suite.numTraces(), 8u);
 
-    SuiteResult res = suite.run(PipelineConfig::planar());
+    SuiteResult res = suite.summarize(
+        suite.simulate(PipelineModel(PipelineConfig::planar())));
     EXPECT_GT(res.geomean_ipc, 0.1);
     EXPECT_LT(res.geomean_ipc, 3.0);
     EXPECT_EQ(res.class_ipc.size(), 8u);
-}
-
-TEST(Suite, StackedBeatsPlanar)
-{
-    SuiteOptions opt;
-    opt.uops_per_trace = 10000;
-    TraceSuite suite(opt);
-    double speedup = suite.speedupOver(PipelineConfig::planar(),
-                                       PipelineConfig::stacked3d());
-    EXPECT_GT(speedup, 1.05);
-    EXPECT_LT(speedup, 1.30);
 }
 
 TEST(Suite, Table4ShapeMatchesPaper)
@@ -265,7 +261,9 @@ TEST(Suite, Table4ShapeMatchesPaper)
     Table4Result t4 = computeTable4(opt);
     ASSERT_EQ(t4.rows.size(), kNumPaths);
 
-    // Total gain lands near the paper's ~15%.
+    // The stacked machine beats planar, and the total gain lands near
+    // the paper's ~15%.
+    EXPECT_GT(t4.stacked.geomean_ipc, t4.planar.geomean_ipc);
     EXPECT_GT(t4.total_perf_gain_pct, 9.0);
     EXPECT_LT(t4.total_perf_gain_pct, 20.0);
 
@@ -286,3 +284,181 @@ TEST(Suite, Table4ShapeMatchesPaper)
         EXPECT_GT(row.perf_gain_pct, 0.0)
             << pathName(row.path);
 }
+
+// ---------------------------------------------------------------------
+// lowering and deduplication
+// ---------------------------------------------------------------------
+
+TEST(PipelineTiming, DedupIsExact)
+{
+    const PipelineConfig planar = PipelineConfig::planar();
+    auto reduced = [&](Path p) {
+        PipelineConfig cfg = planar;
+        cfg.applyPathReduction(p);
+        return cfg;
+    };
+
+    // The four front-end paths each remove one stage of the same
+    // in-order front depth, so they lower to one timing.
+    const PipelineTiming front =
+        PipelineTiming::lower(reduced(Path::FrontEnd));
+    for (Path p : {Path::TraceCache, Path::RenameAlloc, Path::IntRfRead})
+        EXPECT_TRUE(PipelineTiming::lower(reduced(p)) == front)
+            << pathName(p);
+
+    // Table 4's twelve configurations lower to nine distinct timings.
+    std::vector<PipelineConfig> configs{planar};
+    for (unsigned p = 0; p < kNumPaths; ++p)
+        configs.push_back(reduced(Path(p)));
+    configs.push_back(PipelineConfig::stacked3d());
+    std::vector<PipelineTiming> distinct;
+    for (const PipelineConfig &cfg : configs) {
+        PipelineTiming t = PipelineTiming::lower(cfg);
+        if (std::find(distinct.begin(), distinct.end(), t) ==
+            distinct.end())
+            distinct.push_back(t);
+    }
+    EXPECT_EQ(distinct.size(), 9u);
+
+    // Configurations with equal timings simulate identically.
+    workloads::CpuWorkloadParams params;
+    params.name = "dedup";
+    params.frac_fp = 0.15;
+    params.frac_fp_load = 0.05;
+    params.fp_chain = 0.4;
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        auto uops = workloads::generateCpuTrace(params, 20000, seed);
+        for (std::size_t a = 0; a < configs.size(); ++a) {
+            for (std::size_t b = a + 1; b < configs.size(); ++b) {
+                if (!(PipelineTiming::lower(configs[a]) ==
+                      PipelineTiming::lower(configs[b])))
+                    continue;
+                EXPECT_TRUE(PipelineModel(configs[a]).run(uops) ==
+                            PipelineModel(configs[b]).run(uops))
+                    << "configs " << a << " and " << b;
+            }
+        }
+    }
+
+    // computeTable4 simulates each distinct timing once.
+    SuiteOptions opt;
+    opt.uops_per_trace = 1000;
+    Table4Result t4 = computeTable4(opt);
+    EXPECT_EQ(t4.timings, 9u);
+    EXPECT_EQ(t4.simulated_uops, 9u * t4.planar.uops);
+}
+
+// ---------------------------------------------------------------------
+// Table 4 pinned exactly
+// ---------------------------------------------------------------------
+
+namespace {
+
+struct PinnedSuite
+{
+    double geomean_ipc;
+    std::uint64_t uops;
+    std::uint64_t cycles;
+    std::uint64_t mispredicts;
+    std::uint64_t trace_breaks;
+    std::uint64_t sq_stall_cycles;
+    std::uint64_t window_stall_cycles;
+};
+
+struct PinnedTable4
+{
+    const char *name;
+    bool full_suite;
+    std::uint64_t uops_per_trace;
+    std::uint64_t seed;
+    double row_gain_pct[kNumPaths];
+    double total_gain_pct;
+    PinnedSuite planar;
+    PinnedSuite stacked;
+};
+
+// Captured from the model that simulated all twelve configurations
+// (planar re-run for every row); rows in Path order.
+const PinnedTable4 kPinnedTable4[] = {
+    {"DefaultSeed7", false, 10000, 7,
+     {0x1.59d3092efaep-2, 0x1.59d3092efaep-2,
+      0x1.59d3092efaep-2, 0x1.9173876c2fa68p+1,
+      0x1.59d3092efaep-2, 0x1.f3c4f6467ef8p+0,
+      0x1.c0615ec6c7c98p-1, 0x1.1f68d8dbb6548p-1,
+      0x1.bb429bd4c2528p+0, 0x1.3d036fc204272p+1},
+     0x1.bb1d1b5923208p+3,
+     {0x1.d543983d86401p-2, 820000, 1896757, 6100, 40859, 532070, 614411},
+     {0x1.0b1f4a545f225p-1, 820000, 1663038, 6100, 40859, 439980, 535789}},
+    {"DefaultSeed12345", false, 10000, 12345,
+     {0x1.53dab21e9d26p-2, 0x1.53dab21e9d26p-2,
+      0x1.53dab21e9d26p-2, 0x1.968d541f5dffap+1,
+      0x1.53dab21e9d26p-2, 0x1.ffe8f0d9bece4p+0,
+      0x1.b5f4f0aba4ab8p-1, 0x1.2194d021d635p-1,
+      0x1.b66f1c98e6574p+0, 0x1.4cc8ef112d50cp+1},
+     0x1.c02ed12ded226p+3,
+     {0x1.d50af2e564cfp-2, 820000, 1900687, 5987, 40590, 548129, 615206},
+     {0x1.0b5e26e657fa6p-1, 820000, 1665203, 5987, 40590, 452751, 537039}},
+    {"FullSuite", true, 1000, 7,
+     {0x1.883dbd689848p-2, 0x1.883dbd689848p-2,
+      0x1.883dbd689848p-2, 0x1.9635eca81d594p+1,
+      0x1.883dbd689848p-2, 0x1.f0e3d0505383p+0,
+      0x1.0bca4dc951638p+0, 0x1.179bff612a4f8p-1,
+      0x1.ac1f0d6b74988p+0, 0x1.243ce256797dap+1},
+     0x1.bff567de861cep+3,
+     {0x1.d39a99d3fa388p-2, 656000, 1549463, 4891, 34214, 386461, 475440},
+     {0x1.0a87fd0b96d16p-1, 656000, 1362125, 4891, 34214, 319557, 416198}},
+};
+
+void
+PrintTo(const PinnedTable4 &pinned, std::ostream *os)
+{
+    *os << pinned.name;
+}
+
+void
+expectSuite(const SuiteResult &got, const PinnedSuite &want)
+{
+    EXPECT_EQ(got.geomean_ipc, want.geomean_ipc);
+    EXPECT_EQ(got.uops, want.uops);
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.mispredicts, want.mispredicts);
+    EXPECT_EQ(got.trace_breaks, want.trace_breaks);
+    EXPECT_EQ(got.sq_stall_cycles, want.sq_stall_cycles);
+    EXPECT_EQ(got.window_stall_cycles, want.window_stall_cycles);
+}
+
+} // anonymous namespace
+
+class Table4PinnedTest : public ::testing::TestWithParam<PinnedTable4>
+{
+};
+
+TEST_P(Table4PinnedTest, BitIdentical)
+{
+    const PinnedTable4 &want = GetParam();
+    SuiteOptions opt;
+    opt.full_suite = want.full_suite;
+    opt.uops_per_trace = want.uops_per_trace;
+    opt.seed = want.seed;
+    Table4Result t4 = computeTable4(opt);
+
+    ASSERT_EQ(t4.rows.size(), kNumPaths);
+    for (unsigned p = 0; p < kNumPaths; ++p)
+        EXPECT_EQ(t4.rows[p].perf_gain_pct, want.row_gain_pct[p])
+            << pathName(t4.rows[p].path);
+    EXPECT_EQ(t4.total_perf_gain_pct, want.total_gain_pct);
+    {
+        SCOPED_TRACE("planar");
+        expectSuite(t4.planar, want.planar);
+    }
+    {
+        SCOPED_TRACE("stacked");
+        expectSuite(t4.stacked, want.stacked);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Suites, Table4PinnedTest, ::testing::ValuesIn(kPinnedTable4),
+    [](const ::testing::TestParamInfo<PinnedTable4> &info) {
+        return std::string(info.param.name);
+    });

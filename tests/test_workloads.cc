@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "workloads/cpu_workload.hh"
 #include "workloads/registry.hh"
@@ -228,6 +232,31 @@ TEST(CpuWorkload, ClassesCoverThePopulations)
          {"specint", "specfp", "kernels", "multimedia", "internet",
           "productivity", "server", "workstation"})
         EXPECT_TRUE(names.count(expect)) << expect;
+}
+
+TEST(CpuWorkload, SeedSaltsArePinned)
+{
+    // Fixed per-class constants, so every standard library generates
+    // the same suite (and the same Table 4).
+    const std::pair<const char *, std::uint64_t> expected[] = {
+        {"specint", 0x0cb3aa50ef11aff4ULL},
+        {"specfp", 0x73f29a8803ef5035ULL},
+        {"kernels", 0x11432fe59d689af3ULL},
+        {"multimedia", 0xb6dfc8be77be66d0ULL},
+        {"internet", 0x7eb898a648e83046ULL},
+        {"productivity", 0x965847c9e739d9bbULL},
+        {"server", 0x2042d79a31d5ef4aULL},
+        {"workstation", 0x21517500eb04ffeeULL},
+    };
+    for (bool full : {false, true}) {
+        auto classes = cpuAppClasses(full);
+        ASSERT_EQ(classes.size(), std::size(expected));
+        for (std::size_t i = 0; i < classes.size(); ++i) {
+            EXPECT_EQ(classes[i].name, expected[i].first);
+            EXPECT_EQ(classes[i].seed_salt, expected[i].second)
+                << classes[i].name;
+        }
+    }
 }
 
 TEST(CpuWorkload, FullSuiteHas650PlusTraces)
