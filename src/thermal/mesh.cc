@@ -8,34 +8,140 @@ namespace thermal {
 
 namespace stencil {
 
+namespace {
+
+/** What a kernel stores per cell: (A x)[c] or rhs[c] - (A x)[c]. */
+enum class Out
+{
+    Apply,
+    Residual,
+};
+
+/** A level's operator arrays and shape, as the kernels see them. */
+struct Args
+{
+    const double *gx, *gy, *gz, *diag, *rhs, *x;
+    double *y;
+    std::size_t nx, plane, y_base;
+};
+
+/**
+ * Cells [c0, c1) of one row, all with the same neighbours: each flag
+ * says whether that neighbour exists. Every kernel accumulates a
+ * cell's terms in the same order (diag·x, up, down, left, right,
+ * north, south), so a cell's value does not depend on which run
+ * computed it. The flags are compile-time constants, so the loop has
+ * no branches and vectorizes.
+ */
+template <Out O, bool Up, bool Down, bool Left, bool Right, bool North,
+          bool South>
+inline void
+cells(const double *__restrict gx, const double *__restrict gy,
+      const double *__restrict gz, const double *__restrict diag,
+      const double *__restrict rhs, const double *__restrict x,
+      double *__restrict y, std::size_t nx, std::size_t plane,
+      std::size_t y_base, std::size_t c0, std::size_t c1)
+{
+    for (std::size_t c = c0; c < c1; ++c) {
+        double acc = diag[c] * x[c];
+        if constexpr (Up)
+            acc -= gz[c - plane] * x[c - plane];
+        if constexpr (Down)
+            acc -= gz[c] * x[c + plane];
+        if constexpr (Left)
+            acc -= gx[c - 1] * x[c - 1];
+        if constexpr (Right)
+            acc -= gx[c] * x[c + 1];
+        if constexpr (North)
+            acc -= gy[c - nx] * x[c - nx];
+        if constexpr (South)
+            acc -= gy[c] * x[c + nx];
+        if constexpr (O == Out::Residual)
+            y[c - y_base] = rhs[c] - acc;
+        else
+            y[c - y_base] = acc;
+    }
+}
+
+/**
+ * cells() over Args. GCC honours __restrict on parameters, not on
+ * struct members or locals; without it every cell loop is versioned
+ * behind runtime overlap checks of y against each input, and the
+ * residual ran about 20 % slower on a 153×146×20 level.
+ */
+template <Out O, bool Up, bool Down, bool Left, bool Right, bool North,
+          bool South>
+inline void
+cellRun(const Args &a, std::size_t c0, std::size_t c1)
+{
+    cells<O, Up, Down, Left, Right, North, South>(
+        a.gx, a.gy, a.gz, a.diag, a.rhs, a.x, a.y, a.nx, a.plane,
+        a.y_base, c0, c1);
+}
+
+/** One row starting at cell @p r: the two end cells are peeled. */
+template <Out O, bool Up, bool Down, bool North, bool South>
+inline void
+row(const Args &a, std::size_t r)
+{
+    if (a.nx == 1) {
+        cellRun<O, Up, Down, false, false, North, South>(a, r, r + 1);
+        return;
+    }
+    cellRun<O, Up, Down, false, true, North, South>(a, r, r + 1);
+    cellRun<O, Up, Down, true, true, North, South>(a, r + 1,
+                                                    r + a.nx - 1);
+    cellRun<O, Up, Down, true, false, North, South>(a, r + a.nx - 1,
+                                                     r + a.nx);
+}
+
+/** One z-plane: the first and last rows are peeled. */
+template <Out O, bool Up, bool Down>
+void
+plane(const Args &a, std::size_t ny, unsigned z)
+{
+    const std::size_t p = std::size_t(z) * a.plane;
+    if (ny == 1) {
+        row<O, Up, Down, false, false>(a, p);
+        return;
+    }
+    row<O, Up, Down, false, true>(a, p);
+    for (std::size_t j = 1; j + 1 < ny; ++j)
+        row<O, Up, Down, true, true>(a, p + j * a.nx);
+    row<O, Up, Down, true, false>(a, p + (ny - 1) * a.nx);
+}
+
+template <Out O>
+void
+slab(const double *gx, const double *gy, const double *gz,
+     const double *diag, const double *rhs, const double *x, double *y,
+     unsigned nx, unsigned ny, unsigned nz, unsigned z_begin,
+     unsigned z_end)
+{
+    const std::size_t pl = std::size_t(nx) * ny;
+    const Args a{gx, gy, gz, diag, rhs, x, y, nx, pl, z_begin * pl};
+    for (unsigned z = z_begin; z < z_end; ++z) {
+        const bool up = z > 0, down = z + 1 < nz;
+        if (up && down)
+            plane<O, true, true>(a, ny, z);
+        else if (up)
+            plane<O, true, false>(a, ny, z);
+        else if (down)
+            plane<O, false, true>(a, ny, z);
+        else
+            plane<O, false, false>(a, ny, z);
+    }
+}
+
+} // anonymous namespace
+
 void
 apply(const double *gx, const double *gy, const double *gz,
       const double *diag, const double *x, double *y, unsigned nx,
       unsigned ny, unsigned nz, unsigned z_begin, unsigned z_end)
 {
-    std::size_t plane = std::size_t(nx) * ny;
-    for (unsigned z = z_begin; z < z_end; ++z) {
-        for (unsigned j = 0; j < ny; ++j) {
-            std::size_t row = (std::size_t(z) * ny + j) * nx;
-            for (unsigned i = 0; i < nx; ++i) {
-                std::size_t c = row + i;
-                double acc = diag[c] * x[c];
-                if (z > 0)
-                    acc -= gz[c - plane] * x[c - plane];
-                if (z + 1 < nz)
-                    acc -= gz[c] * x[c + plane];
-                if (i > 0)
-                    acc -= gx[c - 1] * x[c - 1];
-                if (i + 1 < nx)
-                    acc -= gx[c] * x[c + 1];
-                if (j > 0)
-                    acc -= gy[c - nx] * x[c - nx];
-                if (j + 1 < ny)
-                    acc -= gy[c] * x[c + nx];
-                y[c] = acc;
-            }
-        }
-    }
+    slab<Out::Apply>(gx, gy, gz, diag, nullptr, x, y, nx, ny, nz,
+                     z_begin, z_end);
 }
 
 double
@@ -43,32 +149,24 @@ applyDot(const double *gx, const double *gy, const double *gz,
          const double *diag, const double *x, double *y, unsigned nx,
          unsigned ny, unsigned nz, unsigned z_begin, unsigned z_end)
 {
-    std::size_t plane = std::size_t(nx) * ny;
+    apply(gx, gy, gz, diag, x, y, nx, ny, nz, z_begin, z_end);
+    const std::size_t pl = std::size_t(nx) * ny;
+    const double *xs = x + z_begin * pl;
+    const std::size_t n = (z_end - z_begin) * pl;
     double dot = 0.0;
-    for (unsigned z = z_begin; z < z_end; ++z) {
-        for (unsigned j = 0; j < ny; ++j) {
-            std::size_t row = (std::size_t(z) * ny + j) * nx;
-            for (unsigned i = 0; i < nx; ++i) {
-                std::size_t c = row + i;
-                double acc = diag[c] * x[c];
-                if (z > 0)
-                    acc -= gz[c - plane] * x[c - plane];
-                if (z + 1 < nz)
-                    acc -= gz[c] * x[c + plane];
-                if (i > 0)
-                    acc -= gx[c - 1] * x[c - 1];
-                if (i + 1 < nx)
-                    acc -= gx[c] * x[c + 1];
-                if (j > 0)
-                    acc -= gy[c - nx] * x[c - nx];
-                if (j + 1 < ny)
-                    acc -= gy[c] * x[c + nx];
-                y[c] = acc;
-                dot += x[c] * acc;
-            }
-        }
-    }
+    for (std::size_t c = 0; c < n; ++c)
+        dot += xs[c] * y[c];
     return dot;
+}
+
+void
+residual(const double *gx, const double *gy, const double *gz,
+         const double *diag, const double *rhs, const double *x,
+         double *y, unsigned nx, unsigned ny, unsigned nz,
+         unsigned z_begin, unsigned z_end)
+{
+    slab<Out::Residual>(gx, gy, gz, diag, rhs, x, y, nx, ny, nz,
+                        z_begin, z_end);
 }
 
 } // namespace stencil
@@ -342,17 +440,19 @@ void
 Mesh::applyOperatorSlab(unsigned z_begin, unsigned z_end,
                         const double *x, double *y) const
 {
+    const std::size_t slab = std::size_t(z_begin) * _nx * _ny;
     stencil::apply(_gx.data(), _gy.data(), _gz.data(), _diag.data(),
-                   x, y, _nx, _ny, _nz_total, z_begin, z_end);
+                   x, y + slab, _nx, _ny, _nz_total, z_begin, z_end);
 }
 
 double
 Mesh::applyOperatorAndDotSlab(unsigned z_begin, unsigned z_end,
                               const double *x, double *y) const
 {
+    const std::size_t slab = std::size_t(z_begin) * _nx * _ny;
     return stencil::applyDot(_gx.data(), _gy.data(), _gz.data(),
-                             _diag.data(), x, y, _nx, _ny, _nz_total,
-                             z_begin, z_end);
+                             _diag.data(), x, y + slab, _nx, _ny,
+                             _nz_total, z_begin, z_end);
 }
 
 } // namespace thermal

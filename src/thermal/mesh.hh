@@ -32,7 +32,15 @@ namespace thermal {
  * and the multigrid levels (whose coarse operators have the same
  * shape but own their arrays). All kernels work on a z-plane range
  * [z_begin, z_end) so callers can partition them into deterministic
- * slabs (see exec/reduce.hh).
+ * slabs (see exec/reduce.hh). x and rhs index the whole level; y
+ * holds the slab alone (y[0] is cell (0, 0, z_begin)), so it may be
+ * a slab of a full-size array or plane-sized scratch.
+ *
+ * Each row runs as three branch-free cell loops (first cell,
+ * interior, last cell) specialised for the row's z and y neighbours,
+ * and every cell sums its terms in one fixed order — diag·x, then
+ * up, down, left, right, north, south — so the three kernels agree
+ * with each other bit for bit.
  */
 namespace stencil {
 
@@ -42,11 +50,20 @@ void apply(const double *gx, const double *gy, const double *gz,
            unsigned nx, unsigned ny, unsigned nz, unsigned z_begin,
            unsigned z_end);
 
-/** Fused y = A x plus the slab's partial dot Σ x[c]·y[c]. */
+/**
+ * y = A x over the slab, then the slab's partial dot Σ x[c]·y[c]
+ * summed in cell order.
+ */
 double applyDot(const double *gx, const double *gy, const double *gz,
                 const double *diag, const double *x, double *y,
                 unsigned nx, unsigned ny, unsigned nz,
                 unsigned z_begin, unsigned z_end);
+
+/** y = rhs − A x over the slab, in one pass. */
+void residual(const double *gx, const double *gy, const double *gz,
+              const double *diag, const double *rhs, const double *x,
+              double *y, unsigned nx, unsigned ny, unsigned nz,
+              unsigned z_begin, unsigned z_end);
 
 } // namespace stencil
 

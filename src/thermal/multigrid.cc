@@ -25,6 +25,21 @@ idx(unsigned nx, unsigned ny, unsigned i, unsigned j, unsigned z)
     return (std::size_t(z) * ny + j) * nx + i;
 }
 
+/**
+ * This thread's scratch of at least @p n doubles: one row's z-line
+ * columns (nx·nz, L1-sized) or one z-plane's residual. It grows with
+ * the largest row or plane the thread has seen; the kernels that use
+ * it never nest, so one buffer per thread serves them all.
+ */
+double *
+threadScratch(std::size_t n)
+{
+    thread_local std::vector<double> scratch;
+    if (scratch.size() < n)
+        scratch.resize(n);
+    return scratch.data();
+}
+
 } // anonymous namespace
 
 MultigridPreconditioner::MultigridPreconditioner(
@@ -47,10 +62,6 @@ MultigridPreconditioner::MultigridPreconditioner(
            _levels.size() < 16)
         coarsen(_levels.back());
 
-    const bool chebyshev =
-        _options.smoother == MultigridOptions::Smoother::Chebyshev;
-    const bool zline =
-        _options.smoother == MultigridOptions::Smoother::ZLine;
     for (std::size_t l = 0; l < _levels.size(); ++l) {
         Level &level = _levels[l];
         level.res.assign(level.cells(), 0.0);
@@ -58,30 +69,24 @@ MultigridPreconditioner::MultigridPreconditioner(
             level.x.assign(level.cells(), 0.0);
             level.rhs.assign(level.cells(), 0.0);
         }
-        if (chebyshev)
-            level.p.assign(level.cells(), 0.0);
-        if (zline) {
-            // Factor every column's tridiagonal (diagonal = operator
-            // diagonal, off-diagonals = -gz) once; the LU recurrence
-            // runs plane-by-plane so it vectorizes across (i, j).
-            const std::size_t plane = level.plane();
-            level.zl_inv.resize(level.cells());
-            level.zl_cp.resize(level.cells());
-            level.zl_dp.assign(level.cells(), 0.0);
-            for (std::size_t c = 0; c < plane; ++c) {
-                level.zl_inv[c] = 1.0 / level.diag[c];
+        // Factor every column's tridiagonal (diagonal = operator
+        // diagonal, off-diagonals = -gz) once; the LU recurrence runs
+        // plane-by-plane so it vectorizes across (i, j).
+        const std::size_t plane = level.plane();
+        level.zl_inv.resize(level.cells());
+        level.zl_cp.resize(level.cells());
+        for (std::size_t c = 0; c < plane; ++c) {
+            level.zl_inv[c] = 1.0 / level.diag[c];
+            level.zl_cp[c] = -level.gz[c] * level.zl_inv[c];
+        }
+        for (unsigned z = 1; z < level.nz; ++z) {
+            const std::size_t b = std::size_t(z) * plane;
+            for (std::size_t c = b; c < b + plane; ++c) {
+                const double gzp = level.gz[c - plane];
+                level.zl_inv[c] =
+                    1.0 / (level.diag[c] -
+                           gzp * gzp * level.zl_inv[c - plane]);
                 level.zl_cp[c] = -level.gz[c] * level.zl_inv[c];
-            }
-            for (unsigned z = 1; z < level.nz; ++z) {
-                const std::size_t b = std::size_t(z) * plane;
-                for (std::size_t c = b; c < b + plane; ++c) {
-                    const double gzp = level.gz[c - plane];
-                    level.zl_inv[c] =
-                        1.0 / (level.diag[c] -
-                               gzp * gzp * level.zl_inv[c - plane]);
-                    level.zl_cp[c] =
-                        -level.gz[c] * level.zl_inv[c];
-                }
             }
         }
     }
@@ -164,12 +169,10 @@ MultigridPreconditioner::residual(const Level &level, const double *rhs,
     exec::parallelSlabs(
         poolFor(level), level.nz,
         [&level, rhs, x, out, plane](std::size_t z) {
-            stencil::apply(level.gx, level.gy, level.gz, level.diag, x,
-                           out, level.nx, level.ny, level.nz,
-                           unsigned(z), unsigned(z) + 1);
-            const std::size_t b = z * plane, e = b + plane;
-            for (std::size_t c = b; c < e; ++c)
-                out[c] = rhs[c] - out[c];
+            stencil::residual(level.gx, level.gy, level.gz, level.diag,
+                              rhs, x, out + z * plane, level.nx,
+                              level.ny, level.nz, unsigned(z),
+                              unsigned(z) + 1);
         });
 }
 
@@ -178,144 +181,67 @@ MultigridPreconditioner::smooth(Level &level, const double *rhs,
                                 double *x, unsigned sweeps,
                                 bool x_is_zero)
 {
-    const std::size_t cells = level.cells();
     if (sweeps == 0) {
         if (x_is_zero)
-            std::fill(x, x + cells, 0.0);
+            std::fill(x, x + level.cells(), 0.0);
         return;
     }
     _smoother_sweeps += sweeps;
 
+    // Damped block Jacobi: each (i, j) column's tridiagonal z-system
+    // (full diagonal, -gz off-diagonals) is solved exactly against
+    // the current residual using the factors precomputed at setup.
+    // A row's columns are solved together in thread scratch laid out
+    // plane by plane (dp[z·nx + i]), so the recurrences run
+    // contiguous in i and vectorize, and the backward sweep applies
+    // x += ω·dp one plane at a time. Columns write disjoint cells, so
+    // row-parallel execution is deterministic by construction.
     const std::size_t plane = level.plane();
     const double omega = _options.damping;
-    exec::ThreadPool *pool = poolFor(level);
-
-    switch (_options.smoother) {
-      case MultigridOptions::Smoother::ZLine: {
-        // Damped block Jacobi: each (i, j) column's tridiagonal
-        // z-system (full diagonal, -gz off-diagonals) is solved
-        // exactly against the current residual using the factors
-        // precomputed at setup. The forward/backward recurrences run
-        // plane-by-plane so the inner loops are contiguous in i and
-        // vectorize; columns write disjoint cells, so row-parallel
-        // execution is deterministic by construction.
-        const unsigned nx = level.nx, nz = level.nz;
-        const double *inv = level.zl_inv.data();
-        const double *cp = level.zl_cp.data();
-        double *dp = level.zl_dp.data();
-        for (unsigned s = 0; s < sweeps; ++s) {
-            const bool first = x_is_zero && s == 0;
-            const double *r = rhs;
-            if (!first) {
-                residual(level, rhs, x, level.res.data());
-                r = level.res.data();
-            }
-            exec::parallelSlabs(
-                pool, level.ny,
-                [&level, r, x, omega, first, inv, cp, dp, nx, nz,
-                 plane](std::size_t j) {
-                    const std::size_t row = j * nx;
-                    for (std::size_t c = row; c < row + nx; ++c)
-                        dp[c] = r[c] * inv[c];
-                    for (unsigned z = 1; z < nz; ++z) {
-                        const std::size_t b = row + z * plane;
-                        for (std::size_t c = b; c < b + nx; ++c)
-                            dp[c] = (r[c] +
-                                     level.gz[c - plane] *
-                                         dp[c - plane]) *
-                                    inv[c];
-                    }
-                    for (unsigned z = nz - 1; z-- > 0;) {
-                        const std::size_t b = row + z * plane;
-                        for (std::size_t c = b; c < b + nx; ++c)
-                            dp[c] -= cp[c] * dp[c + plane];
-                    }
-                    for (unsigned z = 0; z < nz; ++z) {
-                        const std::size_t b = row + z * plane;
-                        if (first) {
-                            for (std::size_t c = b; c < b + nx; ++c)
-                                x[c] = omega * dp[c];
-                        } else {
-                            for (std::size_t c = b; c < b + nx; ++c)
-                                x[c] += omega * dp[c];
-                        }
-                    }
-                });
-        }
-        break;
-      }
-      case MultigridOptions::Smoother::Jacobi: {
-        for (unsigned s = 0; s < sweeps; ++s) {
-            const bool first = x_is_zero && s == 0;
-            const double *r = rhs;
-            if (!first) {
-                residual(level, rhs, x, level.res.data());
-                r = level.res.data();
-            }
-            exec::parallelSlabs(
-                pool, level.nz,
-                [&level, r, x, omega, first, plane](std::size_t z) {
-                    const std::size_t b = z * plane, e = b + plane;
-                    for (std::size_t c = b; c < e; ++c) {
-                        const double d = omega * r[c] / level.diag[c];
-                        if (first)
-                            x[c] = d;
-                        else
-                            x[c] += d;
-                    }
-                });
-        }
-        break;
-      }
-      case MultigridOptions::Smoother::Chebyshev: {
-        // Degree-`sweeps` Chebyshev polynomial in D^-1 A targeting
-        // [lmax/4, lmax]. Gershgorin bounds the spectrum of D^-1 A by
-        // 2 (the diagonal dominates the off-diagonal row sum thanks
-        // to the convection terms), so no eigenvalue estimation pass
-        // is needed.
-        const double lmax = 2.0;
-        const double lmin = lmax / 4.0;
-        const double theta = 0.5 * (lmax + lmin);
-        const double delta = 0.5 * (lmax - lmin);
-        const double sigma = theta / delta;
-        double rho = 1.0 / sigma;
-
-        double *p = level.p.data();
+    const unsigned nx = level.nx, nz = level.nz;
+    const double *gz = level.gz;
+    const double *inv = level.zl_inv.data();
+    const double *cp = level.zl_cp.data();
+    for (unsigned s = 0; s < sweeps; ++s) {
+        const bool first = x_is_zero && s == 0;
         const double *r = rhs;
-        if (x_is_zero) {
-            std::fill(x, x + cells, 0.0);
-        } else {
+        if (!first) {
             residual(level, rhs, x, level.res.data());
             r = level.res.data();
         }
         exec::parallelSlabs(
-            pool, level.nz,
-            [&level, r, x, p, theta, plane](std::size_t z) {
-                const std::size_t b = z * plane, e = b + plane;
-                for (std::size_t c = b; c < e; ++c) {
-                    p[c] = r[c] / (level.diag[c] * theta);
-                    x[c] += p[c];
+            poolFor(level), level.ny,
+            [r, x, omega, first, gz, inv, cp, nx, nz,
+             plane](std::size_t j) {
+                double *dp = threadScratch(std::size_t(nx) * nz);
+                const std::size_t row = j * nx;
+                for (unsigned i = 0; i < nx; ++i)
+                    dp[i] = r[row + i] * inv[row + i];
+                for (unsigned z = 1; z < nz; ++z) {
+                    const std::size_t b = row + z * plane;
+                    double *d = dp + std::size_t(z) * nx;
+                    const double *above = d - nx;
+                    for (unsigned i = 0; i < nx; ++i)
+                        d[i] = (r[b + i] + gz[b - plane + i] * above[i]) *
+                               inv[b + i];
+                }
+                for (unsigned z = nz; z-- > 0;) {
+                    const std::size_t b = row + z * plane;
+                    double *d = dp + std::size_t(z) * nx;
+                    if (z + 1 < nz) {
+                        const double *below = d + nx;
+                        for (unsigned i = 0; i < nx; ++i)
+                            d[i] -= cp[b + i] * below[i];
+                    }
+                    if (first) {
+                        for (unsigned i = 0; i < nx; ++i)
+                            x[b + i] = omega * d[i];
+                    } else {
+                        for (unsigned i = 0; i < nx; ++i)
+                            x[b + i] += omega * d[i];
+                    }
                 }
             });
-        for (unsigned k = 1; k < sweeps; ++k) {
-            residual(level, rhs, x, level.res.data());
-            const double *rk = level.res.data();
-            const double rho_new = 1.0 / (2.0 * sigma - rho);
-            const double a = rho_new * rho;
-            const double b2 = 2.0 * rho_new / delta;
-            exec::parallelSlabs(
-                pool, level.nz,
-                [&level, rk, x, p, a, b2, plane](std::size_t z) {
-                    const std::size_t b = z * plane, e = b + plane;
-                    for (std::size_t c = b; c < e; ++c) {
-                        p[c] = a * p[c] + b2 * rk[c] / level.diag[c];
-                        x[c] += p[c];
-                    }
-                });
-            rho = rho_new;
-        }
-        break;
-      }
     }
 }
 
@@ -330,28 +256,31 @@ MultigridPreconditioner::vcycle(unsigned li, const double *rhs,
     }
 
     smooth(level, rhs, x, _options.pre_sweeps, true);
-    residual(level, rhs, x, level.res.data());
 
     Level &coarse = _levels[li + 1];
-    const double *res = level.res.data();
     double *crhs = coarse.rhs.data();
     const unsigned fnx = level.nx, fny = level.ny;
     const unsigned cnx = coarse.nx, cny = coarse.ny;
 
-    // Restriction P^T: aggregate sums of the fine residual. Slabs are
-    // z-planes (unchanged by lateral coarsening), so the partition is
-    // fixed by the problem and the loop order within a plane is the
-    // serial order.
+    // Residual and restriction P^T (aggregate sums of the residual),
+    // fused one z-plane at a time: the plane's residual goes to
+    // thread scratch and is summed into the coarse rhs while it is
+    // still in cache. Slabs are z-planes (unchanged by lateral
+    // coarsening), so the partition is fixed by the problem and the
+    // loop order within a plane is the serial order.
     exec::parallelSlabs(
         poolFor(level), level.nz,
-        [res, crhs, fnx, fny, cnx, cny](std::size_t z) {
+        [&level, rhs, x, crhs, fnx, fny, cnx, cny](std::size_t z) {
+            double *res = threadScratch(level.plane());
+            stencil::residual(level.gx, level.gy, level.gz, level.diag,
+                              rhs, x, res, fnx, fny, level.nz,
+                              unsigned(z), unsigned(z) + 1);
             const unsigned pairs_i = fnx / 2;
             for (unsigned J = 0; J < cny; ++J) {
                 const unsigned j0 = 2 * J;
                 const unsigned j1 = std::min(j0 + 2, fny);
                 double *crow = crhs + idx(cnx, cny, 0, J, unsigned(z));
-                const double *frow0 =
-                    res + idx(fnx, fny, 0, j0, unsigned(z));
+                const double *frow0 = res + std::size_t(j0) * fnx;
                 for (unsigned I = 0; I < pairs_i; ++I)
                     crow[I] = frow0[2 * I] + frow0[2 * I + 1];
                 if (pairs_i < cnx)

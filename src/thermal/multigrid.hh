@@ -10,10 +10,9 @@
  * millimetre heat-sink planes give vertical face conductances orders
  * of magnitude above the lateral ones — so errors that are strongly
  * coupled in z must be removed by the smoother, not the coarse grid:
- * the default smoother solves each (i, j) column's tridiagonal z-line
- * system exactly (damped block Jacobi), which is what makes lateral
- * semicoarsening converge on these stacks. Pointwise damped Jacobi
- * and Chebyshev smoothers are selectable for comparison.
+ * the smoother solves each (i, j) column's tridiagonal z-line system
+ * exactly (damped block Jacobi), which is what makes lateral
+ * semicoarsening converge on these stacks.
  *
  * Used as M in PCG: apply() runs one V-cycle from a zero initial
  * guess, a fixed symmetric positive definite linear operation (equal
@@ -41,21 +40,13 @@ namespace thermal {
 /** Tuning knobs for the V-cycle (defaults work for paper stacks). */
 struct MultigridOptions
 {
-    enum class Smoother
-    {
-        ZLine,      ///< damped block Jacobi over z-columns (default)
-        Jacobi,     ///< damped pointwise Jacobi
-        Chebyshev,  ///< fixed-degree Chebyshev over D^-1 A
-    };
-
-    Smoother smoother = Smoother::ZLine;
     unsigned pre_sweeps = 1;
     unsigned post_sweeps = 1;
     /** Smoother sweeps standing in for a coarsest-level solve. */
     unsigned coarse_sweeps = 24;
     /** Stop coarsening when min(nx, ny) drops to this. */
     unsigned min_coarse_dim = 8;
-    /** Damping for the ZLine / Jacobi smoothers. */
+    /** Damping of the z-line smoother. */
     double damping = 0.8;
 };
 
@@ -91,18 +82,17 @@ class MultigridPreconditioner
         const double *gx = nullptr, *gy = nullptr, *gz = nullptr;
         const double *diag = nullptr;
         std::vector<double> own_gx, own_gy, own_gz, own_diag;
-        /** V-cycle workspace: correction, restricted rhs, residual,
-         *  Chebyshev direction vector. */
-        std::vector<double> x, rhs, res, p;
+        /** V-cycle workspace: correction, restricted rhs, and the
+         *  smoother's residual. */
+        std::vector<double> x, rhs, res;
 
         /**
-         * Precomputed z-line Thomas factors (ZLine smoother only):
-         * zl_inv is the inverted pivot of the column tridiagonal's LU,
-         * zl_cp the upper factor, zl_dp the solve workspace. The
-         * factorization is constant — the columns' matrices never
-         * change — so sweeps run division-free.
+         * Precomputed z-line Thomas factors: zl_inv is the inverted
+         * pivot of the column tridiagonal's LU, zl_cp the upper
+         * factor. The factorization is constant — the columns'
+         * matrices never change — so sweeps run division-free.
          */
-        std::vector<double> zl_inv, zl_cp, zl_dp;
+        std::vector<double> zl_inv, zl_cp;
 
         std::size_t plane() const { return std::size_t(nx) * ny; }
         std::size_t

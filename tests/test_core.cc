@@ -180,4 +180,14 @@ TEST(LogicStudy, EndToEndShape)
     // Same Pwr is the hottest row.
     for (std::size_t i = 0; i < r.table5.size(); ++i)
         EXPECT_LE(r.table5[i].temp_c, r.table5[1].temp_c + 1e-9);
+
+    // "Same Freq." runs at Figure 11's stacked power scale, so it
+    // reuses that solve: six solves for seven temperatures (Baseline
+    // reads the planar solve and is not counted), and still eight
+    // cells.
+    EXPECT_EQ(std::string(r.table5[2].point.label), "Same Freq.");
+    EXPECT_EQ(r.table5[2].temp_c, r.fig11.stacked.peak_c);
+    EXPECT_EQ(counters.value("thermal.solves"), 6.0);
+    EXPECT_EQ(counters.value("thermal.solves_reused"), 1.0);
+    EXPECT_EQ(report.meta.cells.size(), 8u);
 }

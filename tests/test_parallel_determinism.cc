@@ -14,6 +14,7 @@
 #include "core/run_options.hh"
 #include "core/thermal_study.hh"
 #include "exec/pool.hh"
+#include "pinned_solves.hh"
 
 using namespace stack3d;
 using namespace stack3d::core;
@@ -261,4 +262,12 @@ TEST(ParallelDeterminism, SolverPoolIsBitIdentical)
         for (std::size_t c = 0; c < fs.raw().size(); ++c)
             EXPECT_EQ(fs.raw()[c], fp.raw()[c]) << c;
     }
+}
+
+TEST(ParallelDeterminism, PinnedSolvesOnPool)
+{
+    // Solver.PinnedSolves' cases on a 4-thread pool reproduce the
+    // serial pins exactly.
+    exec::ThreadPool pool(4);
+    pinned_solves::expectAllPinned(&pool);
 }

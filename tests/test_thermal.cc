@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
+#include "common/random.hh"
+#include "pinned_solves.hh"
 #include "thermal/mesh.hh"
 #include "thermal/power_map.hh"
 #include "thermal/render.hh"
@@ -138,6 +142,129 @@ TEST(Mesh, MarginExtendsDomain)
     EXPECT_EQ(mesh.nx(), 8u);
     EXPECT_TRUE(mesh.inDieWindow(2, 2));
     EXPECT_FALSE(mesh.inDieWindow(0, 0));
+}
+
+// ---------------------------------------------------------------------
+// stencil kernels
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * The oracle: a plain per-cell stencil loop that tests all six
+ * neighbours inline. y = A x over the slab into a whole-level y, plus
+ * the partial dot Σ x[c]·y[c] in cell order.
+ */
+double
+referenceApplyDot(const double *gx, const double *gy, const double *gz,
+                  const double *diag, const double *x, double *y,
+                  unsigned nx, unsigned ny, unsigned nz,
+                  unsigned z_begin, unsigned z_end)
+{
+    std::size_t plane = std::size_t(nx) * ny;
+    double dot = 0.0;
+    for (unsigned z = z_begin; z < z_end; ++z) {
+        for (unsigned j = 0; j < ny; ++j) {
+            std::size_t row = (std::size_t(z) * ny + j) * nx;
+            for (unsigned i = 0; i < nx; ++i) {
+                std::size_t c = row + i;
+                double acc = diag[c] * x[c];
+                if (z > 0)
+                    acc -= gz[c - plane] * x[c - plane];
+                if (z + 1 < nz)
+                    acc -= gz[c] * x[c + plane];
+                if (i > 0)
+                    acc -= gx[c - 1] * x[c - 1];
+                if (i + 1 < nx)
+                    acc -= gx[c] * x[c + 1];
+                if (j > 0)
+                    acc -= gy[c - nx] * x[c - nx];
+                if (j + 1 < ny)
+                    acc -= gy[c] * x[c + nx];
+                y[c] = acc;
+                dot += x[c] * acc;
+            }
+        }
+    }
+    return dot;
+}
+
+std::uint64_t
+bitsOf(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+} // anonymous namespace
+
+TEST(Stencil, MatchesReferenceLoop)
+{
+    // Random operators and inputs (the last-column gx and last-row gy
+    // entries are random too: no kernel may read them), every shape
+    // with nx, ny, nz in {1, 2, 3, 7}, and every z-slab.
+    Random rng(2024);
+    const unsigned dims[] = {1, 2, 3, 7};
+    for (unsigned nx : dims)
+        for (unsigned ny : dims)
+            for (unsigned nz : dims) {
+                const std::size_t plane = std::size_t(nx) * ny;
+                const std::size_t n = plane * nz;
+                auto fill = [&](double lo, double hi) {
+                    std::vector<double> v(n);
+                    for (double &e : v)
+                        e = rng.uniformDouble(lo, hi);
+                    return v;
+                };
+                const std::vector<double> gx = fill(0.1, 2.0);
+                const std::vector<double> gy = fill(0.1, 2.0);
+                const std::vector<double> gz = fill(0.1, 50.0);
+                const std::vector<double> diag = fill(100.0, 200.0);
+                const std::vector<double> x = fill(-60.0, 90.0);
+                const std::vector<double> rhs = fill(-5.0, 5.0);
+
+                std::vector<double> ref(n);
+                for (unsigned zb = 0; zb < nz; ++zb)
+                    for (unsigned ze = zb + 1; ze <= nz; ++ze) {
+                        SCOPED_TRACE(::testing::Message()
+                                     << nx << "x" << ny << "x" << nz
+                                     << " slab [" << zb << ", " << ze
+                                     << ")");
+                        const double ref_dot = referenceApplyDot(
+                            gx.data(), gy.data(), gz.data(),
+                            diag.data(), x.data(), ref.data(), nx, ny,
+                            nz, zb, ze);
+                        const std::size_t base = zb * plane;
+                        const std::size_t len = (ze - zb) * plane;
+
+                        std::vector<double> y(len, -1.0);
+                        stencil::apply(gx.data(), gy.data(), gz.data(),
+                                       diag.data(), x.data(), y.data(),
+                                       nx, ny, nz, zb, ze);
+                        std::vector<double> yd(len, -1.0);
+                        const double dot = stencil::applyDot(
+                            gx.data(), gy.data(), gz.data(),
+                            diag.data(), x.data(), yd.data(), nx, ny,
+                            nz, zb, ze);
+                        std::vector<double> yr(len, -1.0);
+                        stencil::residual(gx.data(), gy.data(),
+                                          gz.data(), diag.data(),
+                                          rhs.data(), x.data(),
+                                          yr.data(), nx, ny, nz, zb,
+                                          ze);
+
+                        EXPECT_EQ(bitsOf(dot), bitsOf(ref_dot));
+                        for (std::size_t k = 0; k < len; ++k) {
+                            const std::size_t c = base + k;
+                            ASSERT_EQ(bitsOf(y[k]), bitsOf(ref[c]))
+                                << "apply, cell " << c;
+                            ASSERT_EQ(bitsOf(yd[k]), bitsOf(ref[c]))
+                                << "applyDot, cell " << c;
+                            ASSERT_EQ(bitsOf(yr[k]),
+                                      bitsOf(rhs[c] - ref[c]))
+                                << "residual, cell " << c;
+                        }
+                    }
+            }
 }
 
 // ---------------------------------------------------------------------
@@ -625,6 +752,13 @@ TEST(Mesh, IncrementalUpdateMatchesFreshAssembly)
     EXPECT_EQ(updated.updateLayerConductivity(
                   geom_a.layerIndex("bond"), 7.0),
               0u);
+}
+
+TEST(Solver, PinnedSolves)
+{
+    // Serial; ParallelDeterminism.PinnedSolvesOnPool runs the same
+    // cases on a pool.
+    pinned_solves::expectAllPinned(nullptr);
 }
 
 TEST(Solver, WarmStartAgreesAndConvergesFaster)
