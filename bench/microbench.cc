@@ -10,8 +10,10 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cpu/pipeline.hh"
+#include "cpu/suite.hh"
 #include "exec/pool.hh"
 #include "mem/engine.hh"
 #include "mem/tagsearch.hh"
@@ -269,6 +271,22 @@ BM_PipelineModel(benchmark::State &state)
                             std::int64_t(uops.size()));
 }
 BENCHMARK(BM_PipelineModel)->Unit(benchmark::kMillisecond);
+
+/** Table 4's nine distinct timings over one trace, in one pass. */
+void
+BM_PipelineModelTable4(benchmark::State &state)
+{
+    workloads::CpuWorkloadParams params;
+    params.name = "bench";
+    auto uops = workloads::generateCpuTrace(params, 100000, 7);
+    const std::vector<cpu::PipelineTiming> timings = cpu::table4Timings();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cpu::simulateLanes(timings, uops));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            std::int64_t(timings.size() * uops.size()));
+}
+BENCHMARK(BM_PipelineModelTable4)->Unit(benchmark::kMillisecond);
 
 void
 BM_SpanNoCollector(benchmark::State &state)

@@ -40,8 +40,13 @@ runLogicStudy(const RunOptions &options, const LogicStudySpec &spec)
 
     cpu::SuiteOptions suite = spec.suite;
     suite.seed = deriveCellSeed(options.seed, cellKey("cpu-suite"));
-    suite.uops_per_trace = std::uint64_t(
-        double(suite.uops_per_trace) * options.depth);
+    const double trace_uops = scaledTraceUops(options, spec);
+    if (!(trace_uops <= double(kMaxLogicTraceUops))) {
+        stack3d_fatal("logic study: uops_per_trace x depth = ",
+                      trace_uops, " exceeds ", kMaxLogicTraceUops,
+                      " uops");
+    }
+    suite.uops_per_trace = std::uint64_t(trace_uops);
     if (suite.uops_per_trace < 1000)
         suite.uops_per_trace = 1000;
 

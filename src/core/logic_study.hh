@@ -9,6 +9,8 @@
 #ifndef STACK3D_CORE_LOGIC_STUDY_HH
 #define STACK3D_CORE_LOGIC_STUDY_HH
 
+#include <cstdint>
+
 #include "core/run_options.hh"
 #include "core/thermal_study.hh"
 #include "cpu/suite.hh"
@@ -65,11 +67,29 @@ struct LogicStudySpec
 };
 
 /**
+ * Most µops per trace a logic study simulates: the spec's
+ * uops_per_trace scaled by RunOptions::depth. It bounds what one
+ * Table 4 pass holds, the trace (8 B a µop) and the completion cycles
+ * of its nine timings ((n + 1) x 9 x 8 B): about 160 MB at the bound,
+ * ten times the full-fidelity default of 200000.
+ */
+constexpr std::uint64_t kMaxLogicTraceUops = 2000000;
+
+/** The spec's uops_per_trace scaled by RunOptions::depth. */
+inline double
+scaledTraceUops(const RunOptions &options, const LogicStudySpec &spec)
+{
+    return double(spec.suite.uops_per_trace) * options.depth;
+}
+
+/**
  * Run the complete Logic+Logic study under the unified Run/Report
  * API. Cell decomposition: the Table 4 pipeline suite and the three
  * Figure 11 steady-state solves fan out first (cells 0-3); after a
  * barrier, the four non-baseline Table 5 operating points solve
- * concurrently (cells 4-7, each a scaled 3D floorplan).
+ * concurrently (cells 4-7, each a scaled 3D floorplan). Traces are
+ * scaledTraceUops() long, floored at 1000; fatal() if that is not at
+ * most kMaxLogicTraceUops.
  */
 StudyReport<LogicStudyResult> runLogicStudy(
     const RunOptions &options, const LogicStudySpec &spec = {});

@@ -1,7 +1,9 @@
 #include "pipeline.hh"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "obs/trace.hh"
@@ -46,7 +48,8 @@ PipelineTiming::lower(const PipelineConfig &cfg)
 {
     stack3d_assert(cfg.fetch_width > 0 && cfg.retire_width > 0,
                    "pipeline widths must be positive");
-    stack3d_assert(cfg.rob_size > 0 && cfg.store_queue_size > 0,
+    stack3d_assert(cfg.rob_size > 0 && cfg.alloc_pool_size > 0 &&
+                       cfg.store_queue_size > 0,
                    "pipeline structures must be non-empty");
 
     PipelineTiming t;
@@ -106,45 +109,24 @@ PipelineTiming::lower(const PipelineConfig &cfg)
     return t;
 }
 
-PipelineModel::PipelineModel(const PipelineConfig &config)
-    : _timing(PipelineTiming::lower(config))
+bool
+PipelineTiming::sameShape(const PipelineTiming &other) const
 {
+    return pool == other.pool && pool_units == other.pool_units &&
+           rob_size == other.rob_size &&
+           alloc_pool_size == other.alloc_pool_size &&
+           store_queue_size == other.store_queue_size &&
+           fetch_width == other.fetch_width &&
+           retire_width == other.retire_width &&
+           trace_break_rate == other.trace_break_rate;
 }
 
-CpuResult
-PipelineModel::run(const std::vector<CpuUop> &uops) const
+namespace {
+
+/** One lane: its timing and its in-order running state. */
+struct Lane
 {
-    obs::Span span("cpu.pipeline", "cpu");
-
-    CpuResult result;
-    result.num_uops = uops.size();
-    if (uops.empty())
-        return result;
-
-    const PipelineTiming &t = _timing;
-    const std::size_t n = uops.size();
-
-    // done[i + 1] is uop i's completion; done[0] stays 0 and stands
-    // in for "no producer", so operand reads need no branch.
-    std::vector<Cycles> done(n + 1, 0);
-    std::vector<Cycles> retire(n, 0);
-
-    // Release cycles of the last store_queue_size stores, oldest at
-    // sq_head: 0 (never blocks) until the queue first fills.
-    std::vector<Cycles> sq(t.store_queue_size, 0);
-    std::size_t sq_head = 0;
-
-    // Next free cycle of every unit (fully pipelined: one issue per
-    // cycle). A pool's slots past its unit count are never free.
-    std::array<std::array<Cycles, kMaxPoolUnits>, kNumUnitPools>
-        next_free;
-    for (unsigned p = 0; p < kNumUnitPools; ++p) {
-        for (unsigned k = 0; k < kMaxPoolUnits; ++k) {
-            next_free[p][k] = k < t.pool_units[p]
-                                  ? 0
-                                  : std::numeric_limits<Cycles>::max();
-        }
-    }
+    PipelineTiming t;
 
     // In-order fetch: groups of fetch_width per cycle, pushed out by
     // redirects and bubbles.
@@ -154,97 +136,234 @@ PipelineModel::run(const std::vector<CpuUop> &uops) const
     Cycles prev_dispatch = 0;
     Cycles prev_retire = 0;
 
-    for (std::size_t i = 0; i < n; ++i) {
-        const CpuUop &uop = uops[i];
-        const unsigned cls = unsigned(uop.cls);
+    std::uint64_t sq_stall_cycles = 0;
+    std::uint64_t window_stall_cycles = 0;
+};
 
-        // ---- fetch ----
-        if (fetch_in_group >= t.fetch_width) {
-            fetch_in_group = 0;
-            ++fetch_cycle;
-        }
-        const Cycles fetch_time = fetch_cycle;
-        ++fetch_in_group;
+} // anonymous namespace
 
-        // ---- dispatch (rename/alloc output, in order) ----
-        Cycles dispatch = std::max(fetch_time + t.front_depth,
-                                   prev_dispatch);
+std::vector<CpuResult>
+simulateLanes(std::span<const PipelineTiming> lanes,
+              const std::vector<CpuUop> &uops)
+{
+    obs::Span span("cpu.pipeline", "cpu");
 
-        // ROB window (the uop rob_size back must have retired) and
-        // rename pool (resources recycle pool_release after
-        // retirement).
-        Cycles window = dispatch;
-        if (i >= t.rob_size)
-            window = std::max(window, retire[i - t.rob_size]);
-        if (i >= t.alloc_pool_size) {
-            window = std::max(window, retire[i - t.alloc_pool_size] +
-                                          t.pool_release);
-        }
-        result.window_stall_cycles += window - dispatch;
-        dispatch = window;
+    stack3d_assert(!lanes.empty(), "no pipeline timing to simulate");
+    const PipelineTiming &shape = lanes.front();
+    for (const PipelineTiming &t : lanes) {
+        stack3d_assert(t.sameShape(shape),
+                       "pipeline lanes must share a shape");
+    }
 
-        // Store queue: entries live until sq_release past retire.
-        const bool is_store = uop.cls == UopClass::Store;
-        if (is_store) {
-            Cycles sq_ready = std::max(dispatch, sq[sq_head]);
-            result.sq_stall_cycles += sq_ready - dispatch;
-            dispatch = sq_ready;
-        }
-        prev_dispatch = dispatch;
+    const std::size_t nl = lanes.size();
+    const std::size_t n = uops.size();
+    std::vector<CpuResult> results(nl);
+    if (uops.empty())
+        return results;
 
-        // ---- operand readiness ----
-        Cycles ready = dispatch;
-        for (unsigned s = 0; s < 2; ++s) {
-            // A distance of 0 (no dependency) or past the trace start
-            // wraps or overshoots to slot 0.
-            std::size_t dist = uop.src_dist[s];
-            std::size_t slot = dist - 1 < i ? i + 1 - dist : 0;
-            ready = std::max(ready, done[slot]);
-        }
+    std::vector<Lane> lane(lanes.begin(), lanes.end());
 
-        // ---- issue + execute ----
-        auto &units = next_free[t.pool[cls]];
-        unsigned unit = 0;
-        for (unsigned k = 1; k < kMaxPoolUnits; ++k)
-            unit = units[k] < units[unit] ? k : unit;
-        const Cycles start = std::max(ready, units[unit]);
-        units[unit] = start + 1;
-        const Cycles finish =
-            start + t.latency[cls][unsigned(uop.mem_level)];
-        done[i + 1] = finish;
+    // The arrays below are lane-minor: entry [row][lane] sits at
+    // row * nl + lane, so one µop's lanes sit side by side.
+    //
+    // done[i + 1] is uop i's completion; done[0] stays 0 and stands
+    // in for "no producer", so operand reads need no branch.
+    std::vector<Cycles> done((n + 1) * nl, 0);
 
-        // ---- retire (in order, retire_width per cycle) ----
-        Cycles ret = std::max(finish, prev_retire);
-        if (i >= t.retire_width)
-            ret = std::max(ret, retire[i - t.retire_width] + 1);
-        retire[i] = ret;
-        prev_retire = ret;
+    // Retirement cycles of the last `ring` uops: uop i at i & mask.
+    // The ring is longer than any distance read back (ROB, rename
+    // pool, retire width), so those reads never see a newer uop.
+    const std::size_t ring = std::bit_ceil(
+        std::size_t(std::max({shape.rob_size, shape.alloc_pool_size,
+                              shape.retire_width})) +
+        1);
+    const std::size_t mask = ring - 1;
+    std::vector<Cycles> retire(ring * nl, 0);
 
-        if (is_store) {
-            sq[sq_head] = ret + t.sq_release;
-            sq_head = sq_head + 1 == sq.size() ? 0 : sq_head + 1;
-        }
+    // Release cycles of the last store_queue_size stores, oldest at
+    // sq_head: 0 (never blocks) until the queue first fills. Stores
+    // are the same uops in every lane, so the head is shared.
+    std::vector<Cycles> sq(std::size_t(shape.store_queue_size) * nl, 0);
+    std::size_t sq_head = 0;
 
-        // ---- control flow ----
-        if (uop.cls == UopClass::Branch) {
-            if (uop.mispredict) {
-                ++result.mispredicts;
-                Cycles resume = finish + t.redirect_cycles;
-                if (resume > fetch_cycle) {
-                    fetch_cycle = resume;
-                    fetch_in_group = 0;
-                }
-            } else if (hashChance(i, t.trace_break_rate)) {
-                ++result.trace_breaks;
-                fetch_cycle += t.instr_loop;
-                fetch_in_group = 0;
-            }
+    // Next free cycle of every unit (fully pipelined: one issue per
+    // cycle), [pool][unit][lane]. A pool's slots past its unit count
+    // are never free.
+    std::vector<Cycles> next_free(kNumUnitPools * kMaxPoolUnits * nl);
+    for (unsigned p = 0; p < kNumUnitPools; ++p) {
+        for (unsigned k = 0; k < kMaxPoolUnits; ++k) {
+            std::fill_n(next_free.begin() +
+                            std::ptrdiff_t((p * kMaxPoolUnits + k) * nl),
+                        nl,
+                        k < shape.pool_units[p]
+                            ? 0
+                            : std::numeric_limits<Cycles>::max());
         }
     }
 
-    result.cycles = prev_retire;
-    result.ipc = double(n) / double(result.cycles);
-    return result;
+    std::uint64_t mispredicts = 0;
+    std::uint64_t trace_breaks = 0;
+
+    // Simulate uop i in every lane. Each lane performs the one-timing
+    // loop's integer operations in its order; the phases below only
+    // interleave lanes, which share no state. Once i has passed the
+    // ROB, rename pool and retire width (`filled`), every look-back
+    // read applies and needs no check.
+    auto step = [&](std::size_t i, auto filled) {
+        constexpr bool kFilled = decltype(filled)::value;
+
+        // ---- decode: the decisions every lane shares ----
+        const CpuUop &uop = uops[i];
+        const unsigned cls = unsigned(uop.cls);
+        const bool is_store = uop.cls == UopClass::Store;
+        const bool mispredict =
+            uop.cls == UopClass::Branch && uop.mispredict;
+        const bool trace_break =
+            uop.cls == UopClass::Branch && !uop.mispredict &&
+            hashChance(i, shape.trace_break_rate);
+        mispredicts += mispredict;
+        trace_breaks += trace_break;
+
+        const bool rob_full = kFilled || i >= shape.rob_size;
+        const bool pool_full = kFilled || i >= shape.alloc_pool_size;
+        const bool retire_full = kFilled || i >= shape.retire_width;
+        const Cycles *rob_row =
+            retire.data() + ((i - shape.rob_size) & mask) * nl;
+        const Cycles *pool_row =
+            retire.data() + ((i - shape.alloc_pool_size) & mask) * nl;
+        const Cycles *width_row =
+            retire.data() + ((i - shape.retire_width) & mask) * nl;
+        Cycles *retire_row = retire.data() + (i & mask) * nl;
+        Cycles *sq_row = sq.data() + sq_head * nl;
+
+        // ---- fetch + dispatch (rename/alloc output, in order) ----
+        for (std::size_t l = 0; l < nl; ++l) {
+            Lane &s = lane[l];
+            if (s.fetch_in_group >= shape.fetch_width) {
+                s.fetch_in_group = 0;
+                ++s.fetch_cycle;
+            }
+            const Cycles fetch_time = s.fetch_cycle;
+            ++s.fetch_in_group;
+
+            const Cycles dispatch =
+                std::max(fetch_time + s.t.front_depth, s.prev_dispatch);
+
+            // ROB window (the uop rob_size back must have retired)
+            // and rename pool (resources recycle pool_release after
+            // retirement).
+            Cycles window = dispatch;
+            if (rob_full)
+                window = std::max(window, rob_row[l]);
+            if (pool_full)
+                window = std::max(window, pool_row[l] + s.t.pool_release);
+            s.window_stall_cycles += window - dispatch;
+            s.prev_dispatch = window;
+        }
+
+        // Store queue: entries live until sq_release past retire.
+        if (is_store) {
+            for (std::size_t l = 0; l < nl; ++l) {
+                Lane &s = lane[l];
+                const Cycles dispatch = s.prev_dispatch;
+                const Cycles sq_ready = std::max(dispatch, sq_row[l]);
+                s.sq_stall_cycles += sq_ready - dispatch;
+                s.prev_dispatch = sq_ready;
+            }
+        }
+
+        // ---- operand readiness, issue + execute, retire ----
+        // A distance of 0 (no dependency) or past the trace start
+        // wraps or overshoots to slot 0.
+        const Cycles *src[2];
+        for (unsigned k = 0; k < 2; ++k) {
+            std::size_t dist = uop.src_dist[k];
+            src[k] = done.data() + (dist - 1 < i ? i + 1 - dist : 0) * nl;
+        }
+        Cycles *units =
+            next_free.data() + shape.pool[cls] * kMaxPoolUnits * nl;
+        const unsigned level = unsigned(uop.mem_level);
+        Cycles *done_row = done.data() + (i + 1) * nl;
+        for (std::size_t l = 0; l < nl; ++l) {
+            Lane &s = lane[l];
+            Cycles ready = std::max(s.prev_dispatch, src[0][l]);
+            ready = std::max(ready, src[1][l]);
+
+            unsigned unit = 0;
+            for (unsigned k = 1; k < kMaxPoolUnits; ++k) {
+                unit = units[k * nl + l] < units[unit * nl + l] ? k
+                                                                : unit;
+            }
+            Cycles &unit_free = units[unit * nl + l];
+            const Cycles start = std::max(ready, unit_free);
+            unit_free = start + 1;
+            const Cycles finish = start + s.t.latency[cls][level];
+            done_row[l] = finish;
+
+            // In order, retire_width per cycle.
+            Cycles ret = std::max(finish, s.prev_retire);
+            if (retire_full)
+                ret = std::max(ret, width_row[l] + 1);
+            retire_row[l] = ret;
+            s.prev_retire = ret;
+        }
+
+        if (is_store) {
+            for (std::size_t l = 0; l < nl; ++l)
+                sq_row[l] = retire_row[l] + lane[l].t.sq_release;
+            sq_head = sq_head + 1 == shape.store_queue_size ? 0
+                                                             : sq_head + 1;
+        }
+
+        // ---- control flow ----
+        if (mispredict) {
+            for (std::size_t l = 0; l < nl; ++l) {
+                Lane &s = lane[l];
+                const Cycles resume = done_row[l] + s.t.redirect_cycles;
+                if (resume > s.fetch_cycle) {
+                    s.fetch_cycle = resume;
+                    s.fetch_in_group = 0;
+                }
+            }
+        } else if (trace_break) {
+            for (Lane &s : lane) {
+                s.fetch_cycle += s.t.instr_loop;
+                s.fetch_in_group = 0;
+            }
+        }
+    };
+
+    const std::size_t filled_from = std::min<std::size_t>(
+        n, std::max({shape.rob_size, shape.alloc_pool_size,
+                     shape.retire_width}));
+    std::size_t i = 0;
+    for (; i < filled_from; ++i)
+        step(i, std::false_type{});
+    for (; i < n; ++i)
+        step(i, std::true_type{});
+
+    for (std::size_t l = 0; l < nl; ++l) {
+        CpuResult &r = results[l];
+        r.num_uops = n;
+        r.cycles = lane[l].prev_retire;
+        r.ipc = double(n) / double(r.cycles);
+        r.mispredicts = mispredicts;
+        r.trace_breaks = trace_breaks;
+        r.sq_stall_cycles = lane[l].sq_stall_cycles;
+        r.window_stall_cycles = lane[l].window_stall_cycles;
+    }
+    return results;
+}
+
+PipelineModel::PipelineModel(const PipelineConfig &config)
+    : _timing(PipelineTiming::lower(config))
+{
+}
+
+CpuResult
+PipelineModel::run(const std::vector<CpuUop> &uops) const
+{
+    return simulateLanes({&_timing, 1}, uops).front();
 }
 
 } // namespace cpu

@@ -20,7 +20,10 @@
  * A PipelineConfig is first lowered to a PipelineTiming: exactly the
  * values the simulation reads. Configs that lower to equal timings
  * produce equal results on every trace, which is what lets Table 4
- * simulate each distinct timing once.
+ * simulate each distinct timing once. Timings that also share a shape
+ * (structure sizes, widths, unit pools, trace-break rate) make the
+ * same per-µop decisions, so simulateLanes() runs them over a trace
+ * in one lockstep pass, one lane per timing.
  */
 
 #ifndef STACK3D_CPU_PIPELINE_HH
@@ -28,6 +31,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cpu/config.hh"
@@ -63,7 +67,7 @@ constexpr unsigned kNumUnitPools = 5;
 constexpr unsigned kMaxPoolUnits = 4;
 
 /**
- * A PipelineConfig lowered to exactly the values PipelineModel::run
+ * A PipelineConfig lowered to exactly the values the simulation
  * reads. Equal timings simulate identically on every trace.
  */
 struct PipelineTiming
@@ -98,13 +102,29 @@ struct PipelineTiming
     bool operator==(const PipelineTiming &) const = default;
 
     /**
+     * True when @p other has this timing's shape: the structure sizes,
+     * widths, unit pools and trace-break rate. Timings of one shape
+     * differ only in latencies and delays.
+     */
+    bool sameShape(const PipelineTiming &other) const;
+
+    /**
      * Lower @p config, which must have positive widths, non-empty
      * structures and 1..kMaxPoolUnits units per pool.
      */
     static PipelineTiming lower(const PipelineConfig &config);
 };
 
-/** The pipeline timing model. */
+/**
+ * Simulate @p uops once under every timing in @p lanes, in lockstep.
+ * The lanes must share a shape (PipelineTiming::sameShape). Result k
+ * is lane k's, field-equal to simulating lanes[k] alone.
+ */
+std::vector<CpuResult>
+simulateLanes(std::span<const PipelineTiming> lanes,
+              const std::vector<workloads::CpuUop> &uops);
+
+/** The pipeline timing model of one configuration. */
 class PipelineModel
 {
   public:
@@ -112,7 +132,7 @@ class PipelineModel
 
     const PipelineTiming &timing() const { return _timing; }
 
-    /** Simulate one µop trace. */
+    /** Simulate one µop trace: simulateLanes() with one lane. */
     CpuResult run(const std::vector<workloads::CpuUop> &uops) const;
 
   private:

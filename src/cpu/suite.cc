@@ -11,71 +11,6 @@
 namespace stack3d {
 namespace cpu {
 
-TraceSuite::TraceSuite(const SuiteOptions &options)
-{
-    obs::Span span("cpu.trace_gen", "cpu");
-
-    auto classes = workloads::cpuAppClasses(options.full_suite);
-    for (const auto &cls : classes) {
-        for (unsigned v = 0; v < cls.variants; ++v) {
-            Entry entry;
-            entry.class_name = cls.name;
-            auto params = workloads::makeVariantParams(cls, v);
-            entry.uops = workloads::generateCpuTrace(
-                params, options.uops_per_trace,
-                options.seed ^ (std::uint64_t(v) << 20) ^
-                    cls.seed_salt);
-            _traces.push_back(std::move(entry));
-        }
-    }
-    stack3d_assert(!_traces.empty(), "empty cpu trace suite");
-}
-
-std::vector<CpuResult>
-TraceSuite::simulate(const PipelineModel &model) const
-{
-    obs::Span span("cpu.suite", "cpu");
-
-    std::vector<CpuResult> per_trace;
-    per_trace.reserve(_traces.size());
-    for (const Entry &entry : _traces)
-        per_trace.push_back(model.run(entry.uops));
-    return per_trace;
-}
-
-SuiteResult
-TraceSuite::summarize(const std::vector<CpuResult> &per_trace) const
-{
-    stack3d_assert(per_trace.size() == _traces.size(),
-                   "per-trace results do not match the suite");
-
-    SuiteResult result;
-    result.num_traces = unsigned(_traces.size());
-
-    double log_sum = 0.0;
-    std::map<std::string, std::pair<double, unsigned>> per_class;
-    for (std::size_t i = 0; i < _traces.size(); ++i) {
-        const CpuResult &r = per_trace[i];
-        stack3d_assert(r.ipc > 0.0, "zero IPC for trace");
-        log_sum += std::log(r.ipc);
-        auto &[cls_log, cls_n] = per_class[_traces[i].class_name];
-        cls_log += std::log(r.ipc);
-        ++cls_n;
-        result.uops += r.num_uops;
-        result.cycles += r.cycles;
-        result.mispredicts += r.mispredicts;
-        result.trace_breaks += r.trace_breaks;
-        result.sq_stall_cycles += r.sq_stall_cycles;
-        result.window_stall_cycles += r.window_stall_cycles;
-    }
-    result.geomean_ipc = std::exp(log_sum / double(_traces.size()));
-    for (const auto &[name, acc] : per_class) {
-        result.class_ipc.emplace_back(
-            name, std::exp(acc.first / double(acc.second)));
-    }
-    return result;
-}
-
 namespace {
 
 double
@@ -106,15 +41,53 @@ stagesEliminatedPct(Path path)
     return 0.0;
 }
 
-/** Percent geomean speedup of @p config's traces over @p base's. */
+/** One trace's class and its result under every distinct timing. */
+struct TraceResults
+{
+    std::string class_name;
+    std::vector<CpuResult> lanes;
+};
+
+/** Percent geomean speedup of timing @p lane over timing @p base. */
 double
-gainPct(const std::vector<CpuResult> &base,
-        const std::vector<CpuResult> &config)
+gainPct(const std::vector<TraceResults> &traces, std::size_t base,
+        std::size_t lane)
 {
     double log_sum = 0.0;
-    for (std::size_t i = 0; i < base.size(); ++i)
-        log_sum += std::log(config[i].ipc / base[i].ipc);
-    return (std::exp(log_sum / double(base.size())) - 1.0) * 100.0;
+    for (const TraceResults &trace : traces)
+        log_sum += std::log(trace.lanes[lane].ipc / trace.lanes[base].ipc);
+    return (std::exp(log_sum / double(traces.size())) - 1.0) * 100.0;
+}
+
+/** Aggregate timing @p lane's per-trace results, in trace order. */
+SuiteResult
+summarize(const std::vector<TraceResults> &traces, std::size_t lane)
+{
+    SuiteResult result;
+    result.num_traces = unsigned(traces.size());
+
+    double log_sum = 0.0;
+    std::map<std::string, std::pair<double, unsigned>> per_class;
+    for (const TraceResults &trace : traces) {
+        const CpuResult &r = trace.lanes[lane];
+        stack3d_assert(r.ipc > 0.0, "zero IPC for trace");
+        log_sum += std::log(r.ipc);
+        auto &[cls_log, cls_n] = per_class[trace.class_name];
+        cls_log += std::log(r.ipc);
+        ++cls_n;
+        result.uops += r.num_uops;
+        result.cycles += r.cycles;
+        result.mispredicts += r.mispredicts;
+        result.trace_breaks += r.trace_breaks;
+        result.sq_stall_cycles += r.sq_stall_cycles;
+        result.window_stall_cycles += r.window_stall_cycles;
+    }
+    result.geomean_ipc = std::exp(log_sum / double(traces.size()));
+    for (const auto &[name, acc] : per_class) {
+        result.class_ipc.emplace_back(
+            name, std::exp(acc.first / double(acc.second)));
+    }
+    return result;
 }
 
 void
@@ -139,13 +112,9 @@ appendSuiteCounters(const SuiteResult &result, obs::CounterSet &out,
 
 } // anonymous namespace
 
-Table4Result
-computeTable4(const SuiteOptions &options)
+std::vector<PipelineTiming>
+table4Timings(std::vector<std::size_t> *timing_of)
 {
-    obs::Span span("cpu.table4", "cpu");
-
-    TraceSuite suite(options);
-
     // Planar, each path reduced alone (rows in Path order), and all
     // paths reduced.
     const PipelineConfig planar = PipelineConfig::planar();
@@ -156,37 +125,65 @@ computeTable4(const SuiteOptions &options)
     }
     configs.push_back(PipelineConfig::stacked3d());
 
-    // Simulate each distinct timing once: configs[c] reads
-    // runs[run_of[c]]. Equal timings give equal per-trace results, so
-    // every output below is what simulating all twelve would give.
     std::vector<PipelineTiming> timings;
-    std::vector<std::vector<CpuResult>> runs;
-    std::vector<std::size_t> run_of;
     for (const PipelineConfig &cfg : configs) {
-        PipelineModel model(cfg);
-        auto it = std::find(timings.begin(), timings.end(),
-                            model.timing());
+        const PipelineTiming timing = PipelineTiming::lower(cfg);
+        auto it = std::find(timings.begin(), timings.end(), timing);
         if (it == timings.end()) {
-            timings.push_back(model.timing());
-            runs.push_back(suite.simulate(model));
+            timings.push_back(timing);
             it = timings.end() - 1;
         }
-        run_of.push_back(std::size_t(it - timings.begin()));
+        if (timing_of)
+            timing_of->push_back(std::size_t(it - timings.begin()));
     }
-    const std::vector<CpuResult> &base = runs[run_of.front()];
+    return timings;
+}
 
+Table4Result
+computeTable4(const SuiteOptions &options)
+{
+    obs::Span span("cpu.table4", "cpu");
+
+    // Simulate each distinct timing once: configuration c reads lane
+    // timing_of[c]. Equal timings give equal per-trace results, so
+    // every output below is what simulating all twelve would give.
+    std::vector<std::size_t> timing_of;
+    const std::vector<PipelineTiming> timings = table4Timings(&timing_of);
+
+    // Stream the suite: generate a trace, run every timing over it in
+    // one pass, and keep only the results.
+    std::vector<TraceResults> traces;
+    for (const auto &cls : workloads::cpuAppClasses(options.full_suite)) {
+        for (unsigned v = 0; v < cls.variants; ++v) {
+            std::vector<workloads::CpuUop> uops;
+            {
+                obs::Span gen("cpu.trace_gen", "cpu");
+                uops = workloads::generateCpuTrace(
+                    workloads::makeVariantParams(cls, v),
+                    options.uops_per_trace,
+                    options.seed ^ (std::uint64_t(v) << 20) ^
+                        cls.seed_salt);
+            }
+            traces.push_back({cls.name, simulateLanes(timings, uops)});
+        }
+    }
+    stack3d_assert(!traces.empty(), "empty cpu trace suite");
+
+    const std::size_t base = timing_of.front();
+    const std::size_t stacked = timing_of.back();
     Table4Result result;
     for (unsigned p = 0; p < kNumPaths; ++p) {
         Table4Row row;
         row.path = Path(p);
         row.stages_eliminated_pct = stagesEliminatedPct(Path(p));
-        row.perf_gain_pct = gainPct(base, runs[run_of[1 + p]]);
+        row.perf_gain_pct = gainPct(traces, base, timing_of[1 + p]);
         result.rows.push_back(row);
     }
-    result.total_perf_gain_pct = gainPct(base, runs[run_of.back()]);
-    result.planar = suite.summarize(base);
-    result.stacked = suite.summarize(runs[run_of.back()]);
-    result.timings = unsigned(runs.size());
+    result.total_perf_gain_pct = gainPct(traces, base, stacked);
+    result.planar = summarize(traces, base);
+    result.stacked = summarize(traces, stacked);
+    result.timings = unsigned(timings.size());
+    result.passes = unsigned(traces.size());
     result.simulated_uops = result.timings * result.planar.uops;
     return result;
 }
@@ -197,6 +194,7 @@ appendTable4Counters(const Table4Result &result, obs::CounterSet &out)
     appendSuiteCounters(result.planar, out, "cpu.planar.");
     appendSuiteCounters(result.stacked, out, "cpu.stacked.");
     out.set("cpu.table4.timings", double(result.timings));
+    out.set("cpu.table4.passes", double(result.passes));
     out.set("cpu.table4.simulated_uops", double(result.simulated_uops));
 }
 

@@ -8,8 +8,9 @@
  * Table 4 compares twelve configurations: planar, each path reduced
  * alone, and all paths reduced. They lower to nine distinct
  * PipelineTimings (the four front-end paths each remove one stage of
- * the same in-order front depth), so each distinct timing is
- * simulated once per trace and every row is derived from those
+ * the same in-order front depth) of one shape. The suite is streamed:
+ * each trace is generated, simulated under all nine timings in one
+ * lockstep pass, and dropped, and every row is derived from the kept
  * per-trace results.
  */
 
@@ -83,36 +84,21 @@ struct Table4Result
 
     /** Distinct pipeline timings simulated over the suite. */
     unsigned timings = 0;
+    /** Passes over a trace, each simulating every timing: one per
+     *  trace. */
+    unsigned passes = 0;
     /** µops simulated: timings x traces x µops per trace. */
     std::uint64_t simulated_uops = 0;
 };
 
 /**
- * The shared trace population (generated once, reused across
- * configurations).
+ * Table 4's twelve configurations (planar, each path reduced alone in
+ * Path order, all paths reduced) lowered to their distinct timings,
+ * in order of first appearance. If @p timing_of is given, it receives
+ * each configuration's index into the result.
  */
-class TraceSuite
-{
-  public:
-    explicit TraceSuite(const SuiteOptions &options);
-
-    /** Simulate every trace under @p model, in suite order. */
-    std::vector<CpuResult> simulate(const PipelineModel &model) const;
-
-    /** Aggregate simulate()'s per-trace results into a SuiteResult. */
-    SuiteResult summarize(const std::vector<CpuResult> &per_trace) const;
-
-    unsigned numTraces() const { return unsigned(_traces.size()); }
-
-  private:
-    struct Entry
-    {
-        std::string class_name;
-        std::vector<workloads::CpuUop> uops;
-    };
-
-    std::vector<Entry> _traces;
-};
+std::vector<PipelineTiming>
+table4Timings(std::vector<std::size_t> *timing_of = nullptr);
 
 /** Compute Table 4 (per-path and total gains). */
 Table4Result computeTable4(const SuiteOptions &options = {});
@@ -121,8 +107,8 @@ Table4Result computeTable4(const SuiteOptions &options = {});
  * Fold Table 4's work and pipeline counters into @p out: the planar
  * and stacked suite aggregates under "cpu.planar." and "cpu.stacked."
  * (uops, cycles, ipc, mispredicts, trace_breaks, and the per-cause
- * stall-cycle attribution), plus "cpu.table4.timings" and
- * "cpu.table4.simulated_uops".
+ * stall-cycle attribution), plus "cpu.table4.timings",
+ * "cpu.table4.passes" and "cpu.table4.simulated_uops".
  */
 void appendTable4Counters(const Table4Result &result,
                           obs::CounterSet &out);

@@ -127,6 +127,17 @@ parseRequest(const std::string &line, Request &out, std::string &error)
         error = r.error();
         return false;
     }
+
+    // A logic request sizes its traces and Table 4's lanes from
+    // uops_per_trace x depth, so bound that before anything runs.
+    if (out.kind == StudyKind::Logic &&
+        !(core::scaledTraceUops(out.options, out.logic) <=
+          double(core::kMaxLogicTraceUops))) {
+        error = "request: logic uops_per_trace x depth must be finite "
+                "and at most " +
+                std::to_string(core::kMaxLogicTraceUops);
+        return false;
+    }
     return true;
 }
 

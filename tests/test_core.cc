@@ -154,12 +154,13 @@ TEST(LogicStudy, EndToEndShape)
     EXPECT_EQ(r.table4.rows.size(), 10u);
     EXPECT_GT(r.table4.total_perf_gain_pct, 5.0);
 
-    // Its twelve configurations ran as nine distinct timings, each
-    // over every trace once.
+    // Its twelve configurations ran as nine distinct timings, all
+    // nine in one pass over each trace.
     const obs::CounterSet &counters = report.meta.counters;
     const std::uint64_t traces = r.table4.planar.num_traces;
     EXPECT_EQ(traces, 82u);
     EXPECT_EQ(counters.value("cpu.table4.timings"), 9.0);
+    EXPECT_EQ(counters.value("cpu.table4.passes"), 82.0);
     EXPECT_EQ(counters.value("cpu.table4.simulated_uops"),
               double(9u * traces * 8000u));
 

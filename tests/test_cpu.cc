@@ -2,17 +2,21 @@
  * @file
  * Tests for the Pentium 4-class pipeline model: configuration,
  * dataflow/structural/control timing behaviours, per-path
- * monotonicity, config lowering, and the benchmark-suite driver with
- * Table 4 pinned bit for bit.
+ * monotonicity, lockstep lanes against the single-timing reference
+ * loop, config lowering, and the Table 4 suite computation pinned bit
+ * for bit.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "common/random.hh"
 #include "cpu/config.hh"
 #include "cpu/pipeline.hh"
 #include "cpu/suite.hh"
@@ -237,6 +241,280 @@ TEST(Pipeline, Deterministic)
 }
 
 // ---------------------------------------------------------------------
+// lockstep lanes against the single-timing reference loop
+// ---------------------------------------------------------------------
+
+namespace stack3d {
+namespace cpu {
+
+void
+PrintTo(const CpuResult &r, std::ostream *os)
+{
+    *os << "{uops " << r.num_uops << ", cycles " << r.cycles << ", ipc "
+        << r.ipc << ", mispredicts " << r.mispredicts << ", trace_breaks "
+        << r.trace_breaks << ", sq_stall " << r.sq_stall_cycles
+        << ", window_stall " << r.window_stall_cycles << "}";
+}
+
+} // namespace cpu
+} // namespace stack3d
+
+namespace {
+
+bool
+referenceHashChance(std::uint64_t i, double p)
+{
+    std::uint64_t h = i * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 29;
+    return double(h & 0xffffff) / double(0x1000000) < p;
+}
+
+/**
+ * The oracle: the one-timing loop the lockstep kernel replaced, kept
+ * verbatim apart from taking the timing as a parameter.
+ */
+CpuResult
+referenceRun(const PipelineTiming &t, const std::vector<CpuUop> &uops)
+{
+    CpuResult result;
+    result.num_uops = uops.size();
+    if (uops.empty())
+        return result;
+
+    const std::size_t n = uops.size();
+    std::vector<Cycles> done(n + 1, 0);
+    std::vector<Cycles> retire(n, 0);
+    std::vector<Cycles> sq(t.store_queue_size, 0);
+    std::size_t sq_head = 0;
+
+    std::array<std::array<Cycles, kMaxPoolUnits>, kNumUnitPools>
+        next_free;
+    for (unsigned p = 0; p < kNumUnitPools; ++p) {
+        for (unsigned k = 0; k < kMaxPoolUnits; ++k) {
+            next_free[p][k] = k < t.pool_units[p]
+                                  ? 0
+                                  : std::numeric_limits<Cycles>::max();
+        }
+    }
+
+    Cycles fetch_cycle = 0;
+    unsigned fetch_in_group = 0;
+    Cycles prev_dispatch = 0;
+    Cycles prev_retire = 0;
+
+    for (std::size_t i = 0; i < n; ++i) {
+        const CpuUop &uop = uops[i];
+        const unsigned cls = unsigned(uop.cls);
+
+        if (fetch_in_group >= t.fetch_width) {
+            fetch_in_group = 0;
+            ++fetch_cycle;
+        }
+        const Cycles fetch_time = fetch_cycle;
+        ++fetch_in_group;
+
+        Cycles dispatch = std::max(fetch_time + t.front_depth,
+                                   prev_dispatch);
+        Cycles window = dispatch;
+        if (i >= t.rob_size)
+            window = std::max(window, retire[i - t.rob_size]);
+        if (i >= t.alloc_pool_size) {
+            window = std::max(window, retire[i - t.alloc_pool_size] +
+                                          t.pool_release);
+        }
+        result.window_stall_cycles += window - dispatch;
+        dispatch = window;
+
+        const bool is_store = uop.cls == UopClass::Store;
+        if (is_store) {
+            Cycles sq_ready = std::max(dispatch, sq[sq_head]);
+            result.sq_stall_cycles += sq_ready - dispatch;
+            dispatch = sq_ready;
+        }
+        prev_dispatch = dispatch;
+
+        Cycles ready = dispatch;
+        for (unsigned s = 0; s < 2; ++s) {
+            std::size_t dist = uop.src_dist[s];
+            std::size_t slot = dist - 1 < i ? i + 1 - dist : 0;
+            ready = std::max(ready, done[slot]);
+        }
+
+        auto &units = next_free[t.pool[cls]];
+        unsigned unit = 0;
+        for (unsigned k = 1; k < kMaxPoolUnits; ++k)
+            unit = units[k] < units[unit] ? k : unit;
+        const Cycles start = std::max(ready, units[unit]);
+        units[unit] = start + 1;
+        const Cycles finish =
+            start + t.latency[cls][unsigned(uop.mem_level)];
+        done[i + 1] = finish;
+
+        Cycles ret = std::max(finish, prev_retire);
+        if (i >= t.retire_width)
+            ret = std::max(ret, retire[i - t.retire_width] + 1);
+        retire[i] = ret;
+        prev_retire = ret;
+
+        if (is_store) {
+            sq[sq_head] = ret + t.sq_release;
+            sq_head = sq_head + 1 == sq.size() ? 0 : sq_head + 1;
+        }
+
+        if (uop.cls == UopClass::Branch) {
+            if (uop.mispredict) {
+                ++result.mispredicts;
+                Cycles resume = finish + t.redirect_cycles;
+                if (resume > fetch_cycle) {
+                    fetch_cycle = resume;
+                    fetch_in_group = 0;
+                }
+            } else if (referenceHashChance(i, t.trace_break_rate)) {
+                ++result.trace_breaks;
+                fetch_cycle += t.instr_loop;
+                fetch_in_group = 0;
+            }
+        }
+    }
+
+    result.cycles = prev_retire;
+    result.ipc = double(n) / double(result.cycles);
+    return result;
+}
+
+/** Percentages of a random µop mix. */
+struct UopMix
+{
+    unsigned store_pct = 12;
+    unsigned branch_pct = 12;
+    /** Of the branches. */
+    unsigned mispredict_pct = 20;
+    /** Source distances are drawn from [0, max_dist]. */
+    unsigned max_dist = 200;
+};
+
+std::vector<CpuUop>
+randomTrace(std::size_t n, std::uint64_t seed, const UopMix &mix)
+{
+    static const UopClass kOther[] = {UopClass::IntAlu, UopClass::FpOp,
+                                      UopClass::SimdOp, UopClass::Load,
+                                      UopClass::FpLoad};
+    Random rng(seed);
+    std::vector<CpuUop> uops(n);
+    for (CpuUop &u : uops) {
+        const std::uint64_t r = rng.uniformInt(100);
+        if (r < mix.store_pct) {
+            u.cls = UopClass::Store;
+        } else if (r < mix.store_pct + mix.branch_pct) {
+            u.cls = UopClass::Branch;
+            u.mispredict = rng.uniformInt(100) < mix.mispredict_pct;
+        } else {
+            u.cls = kOther[rng.uniformInt(5)];
+        }
+        u.mem_level = MemLevel(rng.uniformInt(kNumMemLevels));
+        for (std::uint16_t &d : u.src_dist)
+            d = std::uint16_t(rng.uniformInt(mix.max_dist + 1));
+    }
+    return uops;
+}
+
+/** Check every lane of one lockstep pass against the oracle. */
+void
+expectLanesMatch(const std::vector<PipelineTiming> &lanes,
+                 const std::vector<CpuUop> &uops)
+{
+    const std::vector<CpuResult> got = simulateLanes(lanes, uops);
+    ASSERT_EQ(got.size(), lanes.size());
+    for (std::size_t k = 0; k < lanes.size(); ++k)
+        EXPECT_EQ(got[k], referenceRun(lanes[k], uops)) << "lane " << k;
+}
+
+} // anonymous namespace
+
+TEST(Pipeline, LanesMatchReferenceLoop)
+{
+    const std::vector<PipelineTiming> nine = table4Timings();
+    ASSERT_EQ(nine.size(), 9u);
+    std::vector<PipelineTiming> permuted;
+    for (std::size_t k : {4u, 8u, 0u, 6u, 2u, 7u, 1u, 5u, 3u})
+        permuted.push_back(nine[k]);
+
+    auto check = [&](const std::vector<CpuUop> &uops) {
+        for (const PipelineTiming &t : nine)
+            expectLanesMatch({t}, uops);
+        expectLanesMatch(nine, uops);
+        expectLanesMatch(permuted, uops);
+        EXPECT_EQ(PipelineModel(PipelineConfig::planar()).run(uops),
+                  referenceRun(nine.front(), uops));
+    };
+
+    // Lengths around the structure sizes: the rename pool (96) and
+    // the ROB (126) start gating dispatch there.
+    for (std::size_t n : {0u, 1u, 2u, 3u, 95u, 96u, 97u, 125u, 126u,
+                          127u}) {
+        SCOPED_TRACE("n = " + std::to_string(n));
+        check(randomTrace(n, 100 + n, UopMix{}));
+    }
+
+    // Random mixes, and traces of the Table 4 suite's classes.
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE("random seed " + std::to_string(seed));
+        check(randomTrace(4000, seed, UopMix{}));
+    }
+    for (const auto &cls : workloads::cpuAppClasses(false)) {
+        SCOPED_TRACE(cls.name);
+        check(workloads::generateCpuTrace(
+            workloads::makeVariantParams(cls, 0), 3000, cls.seed_salt));
+    }
+
+    {
+        // Store bursts longer than the store queue, behind memory
+        // loads that hold retirement back.
+        SCOPED_TRACE("store bursts");
+        std::vector<CpuUop> uops;
+        for (int block = 0; block < 40; ++block) {
+            CpuUop load = uop(UopClass::Load, 1);
+            load.mem_level = MemLevel::Memory;
+            uops.push_back(load);
+            for (int s = 0; s < 24; ++s)
+                uops.push_back(uop(UopClass::Store, 1));
+        }
+        EXPECT_GT(referenceRun(nine.front(), uops).sq_stall_cycles, 0u);
+        check(uops);
+    }
+    {
+        SCOPED_TRACE("mispredict-heavy");
+        UopMix mix;
+        mix.branch_pct = 45;
+        mix.mispredict_pct = 70;
+        const auto uops = randomTrace(3000, 17, mix);
+        EXPECT_GT(referenceRun(nine.front(), uops).mispredicts, 500u);
+        check(uops);
+    }
+    {
+        // Every producer distance points before the first µop.
+        SCOPED_TRACE("src_dist past the trace start");
+        UopMix mix;
+        mix.max_dist = 65535;
+        check(randomTrace(2000, 23, mix));
+        check(repeat(uop(UopClass::FpOp, 65535, 3000), 2000));
+    }
+}
+
+TEST(PipelineDeathTest, LanesOfDifferentShapes)
+{
+    const std::vector<CpuUop> uops = repeat(uop(UopClass::IntAlu), 10);
+    const std::vector<PipelineTiming> nine = table4Timings();
+    std::vector<std::vector<PipelineTiming>> bad(4, nine);
+    bad[0].back().rob_size += 1;
+    bad[1].back().store_queue_size += 1;
+    bad[2].back().pool_units[1] += 1;
+    bad[3].back().trace_break_rate += 0.125;
+    for (const auto &lanes : bad)
+        EXPECT_DEATH(simulateLanes(lanes, uops), "share a shape");
+}
+
+// ---------------------------------------------------------------------
 // suite
 // ---------------------------------------------------------------------
 
@@ -244,11 +522,11 @@ TEST(Suite, RunsAllClasses)
 {
     SuiteOptions opt;
     opt.uops_per_trace = 5000;
-    TraceSuite suite(opt);
-    EXPECT_GE(suite.numTraces(), 8u);
+    Table4Result t4 = computeTable4(opt);
+    EXPECT_GE(t4.planar.num_traces, 8u);
+    EXPECT_EQ(t4.passes, t4.planar.num_traces);
 
-    SuiteResult res = suite.summarize(
-        suite.simulate(PipelineModel(PipelineConfig::planar())));
+    const SuiteResult &res = t4.planar;
     EXPECT_GT(res.geomean_ipc, 0.1);
     EXPECT_LT(res.geomean_ipc, 3.0);
     EXPECT_EQ(res.class_ipc.size(), 8u);

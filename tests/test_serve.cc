@@ -442,6 +442,46 @@ TEST(StudyService, BadRequestsAreErrorsNotCrashes)
     EXPECT_EQ(ok.status, serve::ServeResult::Status::Ok) << ok.error;
 }
 
+TEST(Request, LogicTraceLengthBounded)
+{
+    // uops_per_trace x depth sizes a logic request's traces: a product
+    // past core::kMaxLogicTraceUops, or one that overflows to
+    // infinity, is refused at parse time with a clear error.
+    serve::Request req;
+    std::string error;
+    EXPECT_FALSE(serve::parseRequest(
+        "{\"schema_version\": 2, \"study\": \"logic\", "
+        "\"options\": {\"depth\": 1e300}}",
+        req, error));
+    EXPECT_NE(error.find("uops_per_trace x depth"), std::string::npos)
+        << error;
+    error.clear();
+    EXPECT_FALSE(serve::parseRequest(
+        "{\"schema_version\": 2, \"study\": \"logic\", "
+        "\"spec\": {\"suite\": {\"uops_per_trace\": "
+        "123456789012345}}}",
+        req, error));
+    EXPECT_NE(error.find("uops_per_trace x depth"), std::string::npos)
+        << error;
+
+    // The bound itself is accepted.
+    EXPECT_TRUE(serve::parseRequest(
+        "{\"schema_version\": 2, \"study\": \"logic\", "
+        "\"options\": {\"depth\": 0.5}, "
+        "\"spec\": {\"suite\": {\"uops_per_trace\": 4000000}}}",
+        req, error))
+        << error;
+
+    // Through the service the refusal is an error response.
+    serve::StudyService service(tinyServiceOptions());
+    serve::ServeResult bad = service.handle(
+        "{\"schema_version\": 2, \"study\": \"logic\", "
+        "\"options\": {\"depth\": 1e300}}");
+    EXPECT_EQ(bad.status, serve::ServeResult::Status::Error);
+    EXPECT_NE(bad.line.find("uops_per_trace x depth"), std::string::npos)
+        << bad.line;
+}
+
 // ---------------------------------------------------------------------
 // disk-tier failure modes: every corruption degrades to a cold
 // compute (a miss), never a crash or a wrong-bytes response
