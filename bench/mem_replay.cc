@@ -6,11 +6,11 @@
  * Runs the Figure 5 sweep (12 RMS kernels x 4 stack options) twice
  * in one process:
  *
- *  - "baseline": TraceEngine::runReference() with the scalar tag
+ *  - "baseline": mem::runReferenceReplay() with the scalar tag
  *    probe — the pre-optimization replay path, kept as the
  *    correctness oracle;
- *  - "after": TraceEngine::run() with the process-default tag probe
- *    (SSE2 signature search where available).
+ *  - "after": TraceEngine::run() with the default tag probe (SSE2
+ *    signature search where available).
  *
  * Both legs must produce bit-identical model results (cycles, CPMA);
  * the bench exits non-zero on any divergence, so it doubles as an
@@ -38,6 +38,7 @@
 
 #include "common/json.hh"
 #include "mem/engine.hh"
+#include "mem/reference_engine.hh"
 #include "mem/tagsearch.hh"
 #include "workloads/registry.hh"
 
@@ -83,8 +84,6 @@ tagModeName(mem::TagSearchMode mode)
     switch (mode) {
       case mem::TagSearchMode::Scalar:
         return "scalar";
-      case mem::TagSearchMode::Swar:
-        return "swar";
       case mem::TagSearchMode::Simd:
         return "simd";
     }
@@ -147,7 +146,8 @@ main(int argc, char **argv)
                 mem::setTagSearchMode(mem::TagSearchMode::Scalar);
                 mem::MemoryHierarchy h1(hp);
                 auto t0 = std::chrono::steady_clock::now();
-                mem::EngineResult er = eng.runReference(buf, h1);
+                mem::EngineResult er =
+                    mem::runReferenceReplay(eng.params(), buf, h1);
                 auto t1 = std::chrono::steady_clock::now();
                 ref_best = std::min(
                     ref_best,
@@ -215,7 +215,7 @@ main(int argc, char **argv)
     w.beginObject();
     w.key("comment").beginArray();
     w.value("Committed before/after baseline for the trace-replay");
-    w.value("data path. 'baseline' is TraceEngine::runReference with");
+    w.value("data path. 'baseline' is mem::runReferenceReplay with");
     w.value("the scalar tag probe (the pre-optimization engine, kept");
     w.value("as the correctness oracle); 'after' is TraceEngine::run");
     w.value("(event-driven issue, calendar-queue completions, SoA");

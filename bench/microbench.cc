@@ -16,6 +16,7 @@
 #include "cpu/suite.hh"
 #include "exec/pool.hh"
 #include "mem/engine.hh"
+#include "mem/reference_engine.hh"
 #include "mem/tagsearch.hh"
 #include "trace/columns.hh"
 #include "obs/histogram.hh"
@@ -48,11 +49,10 @@ BM_CacheAccess(benchmark::State &state)
 }
 BENCHMARK(BM_CacheAccess);
 
-// Scalar-vs-SWAR tag-search comparison on the raw probe primitive:
+// Scalar-vs-SSE2 tag-search comparison on the raw probe primitive:
 // a full 16-way set of valid tags probed for each way in turn, the
 // shape the L2 lookup takes on the Fig 5 sweep.
-template <int (*Find)(const mem::TagSig *, const std::uint64_t *,
-                      std::uint32_t, unsigned, std::uint64_t)>
+template <mem::TagSearchMode Mode>
 void
 tagSearchBench(benchmark::State &state)
 {
@@ -67,38 +67,23 @@ tagSearchBench(benchmark::State &state)
     const std::uint32_t valid = (1u << kAssoc) - 1;
     std::size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            Find(sigs, tags, valid, kAssoc, tags[i++ & (kAssoc - 1)]));
+        benchmark::DoNotOptimize(mem::findWay(
+            Mode, sigs, tags, valid, kAssoc, tags[i++ & (kAssoc - 1)]));
     }
     state.SetItemsProcessed(state.iterations());
-}
-
-int
-findWayScalarAdapter(const mem::TagSig *sigs, const std::uint64_t *t,
-                     std::uint32_t v, unsigned a, std::uint64_t tag)
-{
-    (void)sigs;
-    return mem::findWayScalar(t, v, a, tag);
 }
 
 void
 BM_TagSearchScalar(benchmark::State &state)
 {
-    tagSearchBench<findWayScalarAdapter>(state);
+    tagSearchBench<mem::TagSearchMode::Scalar>(state);
 }
 BENCHMARK(BM_TagSearchScalar);
 
 void
-BM_TagSearchSwar(benchmark::State &state)
-{
-    tagSearchBench<mem::findWaySwar>(state);
-}
-BENCHMARK(BM_TagSearchSwar);
-
-void
 BM_TagSearchSimd(benchmark::State &state)
 {
-    tagSearchBench<mem::findWaySimd>(state);
+    tagSearchBench<mem::TagSearchMode::Simd>(state);
 }
 BENCHMARK(BM_TagSearchSimd);
 
@@ -152,8 +137,8 @@ BM_TraceEngineReference(benchmark::State &state)
     for (auto _ : state) {
         mem::MemoryHierarchy hier(
             mem::makeHierarchyParams(mem::StackOption::Baseline4MB));
-        mem::TraceEngine engine;
-        benchmark::DoNotOptimize(engine.runReference(buf, hier));
+        benchmark::DoNotOptimize(
+            mem::runReferenceReplay(mem::EngineParams{}, buf, hier));
     }
     state.SetItemsProcessed(state.iterations() *
                             std::int64_t(buf.size()));

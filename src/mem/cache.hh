@@ -56,8 +56,6 @@ struct CacheCounters
     std::uint64_t invalidations = 0;
     /** Demand lookups issued by access(). */
     std::uint64_t tag_probes = 0;
-    /** Demand lookups that hit via the SWAR/SIMD signature path. */
-    std::uint64_t swar_hits = 0;
 
     double
     missRate() const
@@ -122,16 +120,13 @@ class Cache
     std::uint64_t _num_sets;
     unsigned _line_shift;
     unsigned _sig_stride;
-    /** Probe implementation, resolved once at construction (the
-     *  env-var lookup and dispatch switch stay off the hit path). */
+    /** Probe implementation, captured at construction (see
+     *  tagSearchMode()). */
     TagSearchMode _mode;
-    /** 1 when _mode is a vector mode: makes the swar_hits counter
-     *  update branch-free in access(). */
-    std::uint64_t _vector_hit_inc;
 
     // SoA line metadata, set-major. _valid/_dirty are per-set way
     // bitmasks (assoc <= 32); _sigs is padded to _sig_stride lanes
-    // per set for the vector probes.
+    // per set for the SSE2 probe.
     std::vector<Addr> _tags;             // num_sets * assoc
     std::vector<TagSig> _sigs;           // num_sets * _sig_stride
     std::vector<std::uint32_t> _valid;   // num_sets

@@ -164,18 +164,9 @@ DramCacheArray::sectorIndex(Addr addr) const
 int
 DramCacheArray::findPageWay(std::uint64_t set, Addr tag) const
 {
-    const std::uint64_t *tags = &_tags[set * _params.assoc];
-    switch (_mode) {
-      case TagSearchMode::Scalar:
-        return findWayScalar(tags, _valid[set], _params.assoc, tag);
-      case TagSearchMode::Swar:
-        return findWaySwar(&_sigs[set * _sig_stride], tags,
-                           _valid[set], _params.assoc, tag);
-      case TagSearchMode::Simd:
-        break;
-    }
-    return findWaySimd(&_sigs[set * _sig_stride], tags, _valid[set],
-                       _params.assoc, tag);
+    return findWay(_mode, &_sigs[set * _sig_stride],
+                   &_tags[set * _params.assoc], _valid[set],
+                   _params.assoc, tag);
 }
 
 DramCacheResult

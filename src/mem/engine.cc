@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <queue>
 #include <vector>
 
 #include "common/arena.hh"
 #include "common/check.hh"
 #include "common/logging.hh"
-#include "exec/reduce.hh"
 #include "obs/trace.hh"
 #include "trace/columns.hh"
 
@@ -20,38 +18,6 @@ namespace {
 
 constexpr Cycles kPending = std::numeric_limits<Cycles>::max();
 constexpr std::uint32_t kNil = ~std::uint32_t(0);
-
-struct Completion
-{
-    Cycles when;
-    unsigned cpu;
-    std::uint32_t rec = 0;
-
-    bool
-    operator>(const Completion &other) const
-    {
-        return when > other.when;
-    }
-};
-
-using CompletionHeap =
-    std::priority_queue<Completion, std::vector<Completion>,
-                        std::greater<>>;
-
-/** Field-wise sum of hierarchy counters (sharded merge). */
-void
-addHierCounters(HierarchyCounters &into, const HierarchyCounters &from)
-{
-    into.accesses += from.accesses;
-    into.loads += from.loads;
-    into.stores += from.stores;
-    into.ifetches += from.ifetches;
-    into.coherence_invalidations += from.coherence_invalidations;
-    into.offdie_fill_bytes += from.offdie_fill_bytes;
-    into.offdie_writeback_bytes += from.offdie_writeback_bytes;
-    into.prefetches += from.prefetches;
-    into.demand_l1d_misses += from.demand_l1d_misses;
-}
 
 } // anonymous namespace
 
@@ -494,7 +460,6 @@ TraceEngine::run(const trace::TraceBuffer &buf,
                         double(warmup_cycles));
     result.counters.set("replay.batches",
                         double(cols.decodeBatches()));
-    result.counters.set("replay.shards", 1.0);
     for (unsigned b = 0; b < 4; ++b)
         result.latency_frac[b] =
             double(lat_buckets[b]) / double(measured_records);
@@ -515,296 +480,6 @@ TraceEngine::run(const trace::TraceBuffer &buf,
         result.llc_miss_rate = hier.dramCache()->counters().missRate();
     }
     return result;
-}
-
-EngineResult
-TraceEngine::runReference(const trace::TraceBuffer &buf,
-                          MemoryHierarchy &hier) const
-{
-    obs::Span span("mem.replay.ref", "mem");
-
-    EngineResult result;
-    result.num_records = buf.size();
-    if (buf.empty())
-        return result;
-
-    unsigned num_cpus = hier.params().num_cpus;
-    stack3d_assert(_params.window > 0 && _params.issue_width > 0,
-                   "engine window/issue width must be positive");
-
-    // Partition the trace into per-cpu program-order index lists.
-    std::vector<std::vector<std::uint32_t>> order(num_cpus);
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-        unsigned cpu = buf[i].cpu;
-        if (cpu >= num_cpus) {
-            stack3d_fatal("trace references cpu ", cpu,
-                          " but the hierarchy has ", num_cpus);
-        }
-        order[cpu].push_back(std::uint32_t(i));
-    }
-
-    std::vector<Cycles> completion(buf.size(), kPending);
-    std::vector<std::size_t> pos(num_cpus, 0);
-    std::vector<unsigned> inflight(num_cpus, 0);
-    // The issue window: records fetched but not yet issued, kept in
-    // program order. A dependency-stalled record does NOT block
-    // younger independent records (the paper's engine issues any
-    // access whose dependency has completed).
-    std::vector<std::vector<std::uint32_t>> pending(num_cpus);
-    std::priority_queue<Completion, std::vector<Completion>,
-                        std::greater<>> heap;
-
-    Cycles now = 0;
-    double latency_sum = 0.0;
-    std::uint64_t lat_buckets[4] = {0, 0, 0, 0};
-
-    // Warm-up bookkeeping: records with index below the cutoff are
-    // simulated but excluded from the reported statistics.
-    stack3d_assert(_params.warmup_fraction >= 0.0 &&
-                       _params.warmup_fraction < 1.0,
-                   "warmup fraction must be in [0, 1)");
-    const std::uint64_t warmup_records =
-        std::uint64_t(double(buf.size()) * _params.warmup_fraction);
-    std::uint64_t issued_total = 0;
-    Cycles warmup_cycles = 0;
-    std::uint64_t warmup_bus_bytes = 0;
-    std::uint64_t measured_records = 0;
-
-    auto all_done = [&]() {
-        for (unsigned c = 0; c < num_cpus; ++c) {
-            if (pos[c] < order[c].size() || !pending[c].empty() ||
-                inflight[c] > 0)
-                return false;
-        }
-        return true;
-    };
-
-    while (!all_done()) {
-        // Retire completions due at or before the current cycle.
-        while (!heap.empty() && heap.top().when <= now) {
-            --inflight[heap.top().cpu];
-            heap.pop();
-        }
-
-        bool issued_any = false;
-        for (unsigned c = 0; c < num_cpus; ++c) {
-            // Refill the window in program order. The cursor is
-            // monotone: it only ever advances, and never past the
-            // end of the cpu's program-order list.
-            while (pos[c] < order[c].size() &&
-                   pending[c].size() + inflight[c] < _params.window) {
-                pending[c].push_back(order[c][pos[c]++]);
-            }
-            S3D_DCHECK(pos[c] <= order[c].size())
-                << "cpu=" << c << " pos=" << pos[c];
-            S3D_DCHECK(pending[c].size() + inflight[c] <=
-                       _params.window)
-                << "cpu=" << c << " window=" << pending[c].size()
-                << "+" << inflight[c];
-
-            // Issue up to issue_width ready records, oldest first,
-            // skipping dependency-stalled ones.
-            unsigned issued = 0;
-            auto &window = pending[c];
-            std::size_t kept = 0;
-            for (std::size_t k = 0; k < window.size(); ++k) {
-                std::uint32_t idx = window[k];
-                bool ready = issued < _params.issue_width;
-                if (ready && _params.honor_dependencies &&
-                    buf[idx].hasDep()) {
-                    Cycles dep_done = completion[buf[idx].dep];
-                    ready = dep_done != kPending && dep_done <= now;
-                }
-                if (!ready) {
-                    window[kept++] = idx;
-                    continue;
-                }
-                const trace::TraceRecord &rec = buf[idx];
-                // Each record issues exactly once, and a dependency
-                // always points at an older record.
-                S3D_DCHECK(completion[idx] == kPending)
-                    << "record " << idx << " issued twice";
-                S3D_DCHECK(!rec.hasDep() || rec.dep < idx)
-                    << "record " << idx << " depends on " << rec.dep;
-                Cycles done = hier.access(c, rec.addr, rec.op, now);
-                stack3d_assert(done >= now,
-                               "hierarchy returned completion in past");
-                completion[idx] = done;
-                ++issued_total;
-                if (issued_total == warmup_records) {
-                    warmup_cycles = now;
-                    warmup_bus_bytes = hier.bus().totalBytes();
-                }
-                if (issued_total > warmup_records) {
-                    ++measured_records;
-                    Cycles lat = done - now;
-                    latency_sum += double(lat);
-                    ++lat_buckets[lat <= 8 ? 0 : lat <= 32 ? 1
-                                  : lat <= 128 ? 2 : 3];
-                }
-                heap.push({done, c});
-                ++inflight[c];
-                ++issued;
-                issued_any = true;
-            }
-            S3D_DCHECK(kept <= window.size());
-            window.resize(kept);
-        }
-
-        if (all_done())
-            break;
-
-        // Advance time: by one cycle while issuing, or jump to the
-        // next completion when fully stalled.
-        if (issued_any || heap.empty()) {
-            ++now;
-        } else {
-            now = std::max(now + 1, heap.top().when);
-        }
-    }
-
-    result.total_cycles = now;
-    if (measured_records == 0) {
-        // Degenerate (all warm-up): fall back to whole-trace stats.
-        warmup_cycles = 0;
-        warmup_bus_bytes = 0;
-        measured_records = buf.size();
-    }
-    Cycles measured_cycles = now - warmup_cycles;
-    result.cpma = double(measured_cycles) / double(measured_records);
-    result.avg_latency = latency_sum / double(measured_records);
-    {
-        // Bandwidth and bus power over the measured region only.
-        double seconds = double(measured_cycles) /
-                         (hier.bus().params().core_freq_ghz * 1e9);
-        std::uint64_t bytes =
-            hier.bus().totalBytes() - warmup_bus_bytes;
-        result.offdie_gbps =
-            seconds > 0.0 ? double(bytes) / 1e9 / seconds : 0.0;
-        result.bus_power_w = result.offdie_gbps * 8.0 *
-                             hier.bus().params().mw_per_gbit * 1e-3;
-    }
-    result.hier = hier.counters();
-    hier.appendCounters(result.counters, "", now);
-    result.counters.set("engine.total_cycles", double(now));
-    result.counters.set("engine.measured_records",
-                        double(measured_records));
-    result.counters.set("engine.warmup_cycles",
-                        double(warmup_cycles));
-    for (unsigned b = 0; b < 4; ++b)
-        result.latency_frac[b] =
-            double(lat_buckets[b]) / double(measured_records);
-
-    // Aggregate L1D and LLC miss rates for reporting.
-    std::uint64_t l1_hits = 0, l1_misses = 0;
-    for (unsigned c = 0; c < num_cpus; ++c) {
-        l1_hits += hier.l1d(c).counters().hits;
-        l1_misses += hier.l1d(c).counters().misses;
-    }
-    if (l1_hits + l1_misses > 0) {
-        result.l1d_miss_rate =
-            double(l1_misses) / double(l1_hits + l1_misses);
-    }
-    if (hier.l2()) {
-        result.llc_miss_rate = hier.l2()->counters().missRate();
-    } else if (hier.dramCache()) {
-        result.llc_miss_rate = hier.dramCache()->counters().missRate();
-    }
-    return result;
-}
-
-ShardedReplayResult
-TraceEngine::runSharded(const trace::TraceBuffer &buf,
-                        const HierarchyParams &hparams,
-                        unsigned num_shards,
-                        exec::ThreadPool *pool) const
-{
-    obs::Span span("mem.replay.sharded", "mem");
-    stack3d_assert(num_shards >= 1, "need at least one shard");
-
-    ShardedReplayResult out;
-
-    // Stripe records over shards by line address, so each shard owns
-    // a disjoint slice of every cache's sets and of the DRAM banks.
-    // Dependencies are remapped to shard-local indices; a dependency
-    // whose producer landed in another shard is dropped and counted.
-    const unsigned line_shift =
-        units::floorLog2(hparams.l1d.line_bytes);
-    const std::size_t n = buf.size();
-    std::vector<std::vector<trace::TraceRecord>> shard_recs(num_shards);
-    std::vector<std::uint64_t> local_index(n, 0);
-    std::vector<std::uint8_t> shard_of(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        trace::TraceRecord rec = buf[i];
-        unsigned s =
-            unsigned((rec.addr >> line_shift) % num_shards);
-        shard_of[i] = std::uint8_t(s);
-        if (rec.hasDep()) {
-            if (shard_of[rec.dep] == s) {
-                rec.dep = local_index[rec.dep];
-            } else {
-                rec.dep = trace::kNoDep;
-                ++out.cross_shard_deps;
-            }
-        }
-        local_index[i] = shard_recs[s].size();
-        shard_recs[s].push_back(rec);
-    }
-
-    // Replay every shard against its own hierarchy clone. Shards
-    // share no state, so the fan-out is embarrassingly parallel; the
-    // harvest below is in shard-index order regardless of the
-    // execution schedule, which is what makes N-thread output
-    // bit-identical to the serial run of the same decomposition.
-    out.shards.resize(num_shards);
-    exec::parallelSlabs(pool, num_shards, [&](std::size_t s) {
-        trace::TraceBuffer shard_buf(std::move(shard_recs[s]));
-        MemoryHierarchy shard_hier(hparams);
-        out.shards[s] = run(shard_buf, shard_hier);
-    });
-
-    // Deterministic merge, shard-index order. Extensive counters
-    // (records, cycles-weighted rates, traffic) sum; intensive ones
-    // (cpma, latency) are measured-record-weighted means; the run
-    // length is the slowest shard (shards model parallel banks).
-    EngineResult &m = out.merged;
-    double weight_sum = 0.0;
-    double cpma_sum = 0.0, lat_sum = 0.0;
-    double l1_sum = 0.0, llc_sum = 0.0;
-    double frac_sum[4] = {0.0, 0.0, 0.0, 0.0};
-    double batches = 0.0;
-    for (unsigned s = 0; s < num_shards; ++s) {
-        const EngineResult &r = out.shards[s];
-        m.num_records += r.num_records;
-        m.total_cycles = std::max(m.total_cycles, r.total_cycles);
-        m.offdie_gbps += r.offdie_gbps;
-        m.bus_power_w += r.bus_power_w;
-        addHierCounters(m.hier, r.hier);
-        double w = r.counters.value("engine.measured_records");
-        weight_sum += w;
-        cpma_sum += w * r.cpma;
-        lat_sum += w * r.avg_latency;
-        l1_sum += w * r.l1d_miss_rate;
-        llc_sum += w * r.llc_miss_rate;
-        for (unsigned b = 0; b < 4; ++b)
-            frac_sum[b] += w * r.latency_frac[b];
-        batches += r.counters.value("replay.batches");
-        m.counters.accumulate(r.counters);
-    }
-    if (weight_sum > 0.0) {
-        m.cpma = cpma_sum / weight_sum;
-        m.avg_latency = lat_sum / weight_sum;
-        m.l1d_miss_rate = l1_sum / weight_sum;
-        m.llc_miss_rate = llc_sum / weight_sum;
-        for (unsigned b = 0; b < 4; ++b)
-            m.latency_frac[b] = frac_sum[b] / weight_sum;
-    }
-    m.counters.set("engine.total_cycles", double(m.total_cycles));
-    m.counters.set("replay.batches", batches);
-    m.counters.set("replay.shards", double(num_shards));
-    m.counters.set("replay.cross_shard_deps",
-                   double(out.cross_shard_deps));
-    return out;
 }
 
 } // namespace mem

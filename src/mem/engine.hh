@@ -16,18 +16,12 @@
 #define STACK3D_MEM_ENGINE_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "mem/hierarchy.hh"
 #include "obs/metrics.hh"
 #include "trace/buffer.hh"
 
 namespace stack3d {
-
-namespace exec {
-class ThreadPool;
-} // namespace exec
-
 namespace mem {
 
 /** Issue-engine knobs. */
@@ -93,20 +87,6 @@ struct EngineResult
     obs::CounterSet counters;
 };
 
-/**
- * Result of a sharded replay: the per-shard results (in shard-index
- * order) plus the deterministic merge. See DESIGN.md "Replay data
- * path" for the decomposition and merge semantics.
- */
-struct ShardedReplayResult
-{
-    EngineResult merged;
-    std::vector<EngineResult> shards;
-    /** Trace dependencies that crossed a shard boundary and were
-     *  dropped from the sharded decomposition. */
-    std::uint64_t cross_shard_deps = 0;
-};
-
 /** Runs a trace through a hierarchy with dependency-honoring issue. */
 class TraceEngine
 {
@@ -125,34 +105,12 @@ class TraceEngine
      * This is the fast path: SoA column decode of the trace, arena-
      * backed issue state, and linked-list issue windows that skip
      * the per-cycle window copy. It issues the exact same reference
-     * sequence as runReference() and produces bit-identical results
+     * sequence as the oracle, mem::runReferenceReplay()
+     * (mem/reference_engine.hh), and produces bit-identical results
      * (pinned by tests/test_mem_replay_determinism.cc).
      */
     EngineResult run(const trace::TraceBuffer &buf,
                      MemoryHierarchy &hier) const;
-
-    /**
-     * The original straight-line implementation, kept as the oracle
-     * for the fast path and as the "before" leg of bench/mem_replay.
-     */
-    EngineResult runReference(const trace::TraceBuffer &buf,
-                              MemoryHierarchy &hier) const;
-
-    /**
-     * Sharded replay: stripe the trace by line address over
-     * @p num_shards independent hierarchy clones, replay every shard
-     * (in parallel when @p pool fans out), and merge the per-shard
-     * results in shard-index order. The merge is deterministic and
-     * thread-count independent: N-thread output is bit-identical to
-     * running the same decomposition serially. Dependencies that
-     * cross shards are dropped and counted (documented
-     * approximation; shard counts > 1 change absolute numbers vs the
-     * unsharded run).
-     */
-    ShardedReplayResult runSharded(const trace::TraceBuffer &buf,
-                                   const HierarchyParams &hparams,
-                                   unsigned num_shards,
-                                   exec::ThreadPool *pool = nullptr) const;
 
   private:
     EngineParams _params;

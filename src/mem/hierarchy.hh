@@ -25,7 +25,6 @@
 
 #include <memory>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -151,13 +150,6 @@ class MemoryHierarchy
     {
         return _ctr.offdie_fill_bytes + _ctr.offdie_writeback_bytes;
     }
-
-    /**
-     * Dump every counter in gem5-style "name value # desc" lines
-     * (per-cache hits/misses, DRAM bank behaviour, bus traffic,
-     * prefetcher and coherence activity).
-     */
-    void dumpStats(std::ostream &os) const;
 
     /**
      * Append a machine-readable snapshot of every level's counters

@@ -1,28 +1,28 @@
 /**
  * @file
- * Vectorized tag search for set-associative tag arrays.
+ * Tag search for set-associative tag arrays.
  *
- * The classic per-set lookup is a linear scan over `assoc` fat line
- * structs — at 8–16 ways and millions of probes per study cell it is
- * the hottest loop in replay. This header provides the fast variants:
+ * The classic per-set lookup is a linear scan over `assoc` tags — at
+ * 8–16 ways and millions of probes per study cell it is the hottest
+ * loop in replay. This header provides the scalar scan (the oracle)
+ * and an SSE2 signature probe:
  *
  *  - each way keeps a 16-bit *signature* (XOR-fold of the full tag)
  *    in a contiguous per-set array;
- *  - a probe compares 4 signatures per step with portable SWAR (the
- *    classic has-zero-halfword trick), or 8 per step with SSE2 when
- *    compiled in;
- *  - signature matches are *candidates* only — the borrow in the SWAR
- *    zero test can smear across lanes and two tags can fold to the
- *    same signature — so every candidate is confirmed against the
+ *  - a probe compares 8 signatures per step with SSE2 cmpeq +
+ *    movemask;
+ *  - signature matches are *candidates* only — two tags can fold to
+ *    the same signature — so every candidate is confirmed against the
  *    full 64-bit tag and the valid mask. False positives cost one
  *    extra compare; false negatives are impossible (equal tags have
- *    equal signatures and the zero test never misses a zero lane).
+ *    equal signatures).
  *
- * Selection: compile-time availability (SSE2) intersected with the
- * STACK3D_TAG_SEARCH env override (scalar|swar|simd|auto), resolved
- * once per process. All variants return the same way index, which
- * the equivalence test in tests/test_mem_replay_determinism.cc pins
- * across associativities 1–16 with partial/invalid sets.
+ * findWay() is the one dispatcher. The default mode is the SSE2 probe
+ * wherever __SSE2__ is defined (every x86-64 target) and the scalar
+ * scan elsewhere; setTagSearchMode() overrides it for tests and
+ * benches. Both return the same way index, which the equivalence test
+ * in tests/test_mem_replay_determinism.cc pins across associativities
+ * 1–16 with partial/invalid sets.
  */
 
 #ifndef STACK3D_MEM_TAGSEARCH_HH
@@ -31,9 +31,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -53,9 +50,9 @@ sigOf(std::uint64_t tag)
     return TagSig(tag & 0xFFFF);
 }
 
-/** Signatures are stored padded to a multiple of 8 lanes so SWAR /
- *  SSE2 probes can always load full groups. Padding lanes belong to
- *  no way and are rejected by the `way < assoc` candidate check. */
+/** Signatures are stored padded to a multiple of 8 lanes so the SSE2
+ *  probe can always load full groups. Padding lanes belong to no way
+ *  and are rejected by the `way < assoc` candidate check. */
 inline unsigned
 sigStride(unsigned assoc)
 {
@@ -66,13 +63,12 @@ sigStride(unsigned assoc)
 enum class TagSearchMode
 {
     Scalar,
-    Swar,
     Simd,
 };
 
 namespace detail {
-/** Programmatic override slot: -1 = unset (use the env resolution).
- *  Hierarchies capture the mode at construction, so flipping this
+/** Programmatic override slot: -1 = unset (use the build default).
+ *  Tag arrays capture the mode at construction, so flipping this
  *  affects hierarchies built afterwards — which is exactly what the
  *  in-process before/after benchmark legs and the equivalence tests
  *  need. */
@@ -87,7 +83,7 @@ setTagSearchMode(TagSearchMode mode)
                                         std::memory_order_relaxed);
 }
 
-/** Drop a setTagSearchMode() override, back to the env default. */
+/** Drop a setTagSearchMode() override, back to the build default. */
 inline void
 clearTagSearchMode()
 {
@@ -96,9 +92,7 @@ clearTagSearchMode()
 
 /**
  * Resolve the probe mode: a setTagSearchMode() override wins; else
- * STACK3D_TAG_SEARCH in {scalar, swar, simd, auto} (default auto =
- * best available), resolved once per process. Requesting simd
- * without SSE2 support falls back to swar.
+ * Simd when compiled with SSE2, Scalar otherwise.
  */
 inline TagSearchMode
 tagSearchMode()
@@ -107,28 +101,16 @@ tagSearchMode()
         std::memory_order_relaxed);
     if (over >= 0)
         return TagSearchMode(over);
-    static const TagSearchMode mode = [] {
-        const char *env = std::getenv("STACK3D_TAG_SEARCH");
-        std::string v = env ? env : "auto";
-        if (v == "scalar")
-            return TagSearchMode::Scalar;
-        if (v == "swar")
-            return TagSearchMode::Swar;
 #if defined(__SSE2__)
-        if (v == "simd" || v == "auto")
-            return TagSearchMode::Simd;
+    return TagSearchMode::Simd;
 #else
-        if (v == "simd")
-            return TagSearchMode::Swar;
+    return TagSearchMode::Scalar;
 #endif
-        return TagSearchMode::Swar;
-    }();
-    return mode;
 }
 
 /**
  * Reference scan: first way with a valid matching full tag, or -1.
- * All other variants must agree with this one exactly.
+ * The SSE2 probe must agree with this one exactly.
  */
 inline int
 findWayScalar(const std::uint64_t *tags, std::uint32_t valid_mask,
@@ -143,40 +125,9 @@ findWayScalar(const std::uint64_t *tags, std::uint32_t valid_mask,
     return -1;
 }
 
-/**
- * SWAR probe: 4 signatures per 64-bit step. @p sigs must have
- * sigStride(assoc) valid-to-read lanes.
- */
-inline int
-findWaySwar(const TagSig *sigs, const std::uint64_t *tags,
-            std::uint32_t valid_mask, unsigned assoc, std::uint64_t tag)
-{
-    const std::uint64_t pattern =
-        std::uint64_t(sigOf(tag)) * 0x0001000100010001ULL;
-    const unsigned stride = sigStride(assoc);
-    for (unsigned base = 0; base < stride; base += 4) {
-        std::uint64_t chunk;
-        std::memcpy(&chunk, sigs + base, sizeof(chunk)); // lint3d: safe-memcpy-ok fixed 8-byte lane load from padded sig array
-        std::uint64_t x = chunk ^ pattern;
-        // Zero-halfword detector: a borrow from a lower lane can set
-        // a spurious high bit in the lane above — candidates only.
-        std::uint64_t cand = (x - 0x0001000100010001ULL) & ~x &
-                             0x8000800080008000ULL;
-        while (cand) {
-            unsigned lane = unsigned(std::countr_zero(cand)) / 16u;
-            cand &= cand - 1;
-            unsigned w = base + lane;
-            if (w < assoc && ((valid_mask >> w) & 1u) &&
-                tags[w] == tag) {
-                return int(w);
-            }
-        }
-    }
-    return -1;
-}
-
 #if defined(__SSE2__)
-/** SSE2 probe: 8 signatures per step via cmpeq + movemask. */
+/** SSE2 probe: 8 signatures per step via cmpeq + movemask. @p sigs
+ *  must have sigStride(assoc) valid-to-read lanes. */
 inline int
 findWaySimd(const TagSig *sigs, const std::uint64_t *tags,
             std::uint32_t valid_mask, unsigned assoc, std::uint64_t tag)
@@ -201,28 +152,24 @@ findWaySimd(const TagSig *sigs, const std::uint64_t *tags,
     }
     return -1;
 }
-#else
-inline int
-findWaySimd(const TagSig *sigs, const std::uint64_t *tags,
-            std::uint32_t valid_mask, unsigned assoc, std::uint64_t tag)
-{
-    return findWaySwar(sigs, tags, valid_mask, assoc, tag);
-}
 #endif
 
-/** Probe through the process-wide mode (see tagSearchMode()). */
+/**
+ * Probe one set in @p mode: the way holding @p tag, or -1. Without
+ * SSE2 every mode is the scalar scan.
+ */
 inline int
-findWay(const TagSig *sigs, const std::uint64_t *tags,
-        std::uint32_t valid_mask, unsigned assoc, std::uint64_t tag)
+findWay(TagSearchMode mode, const TagSig *sigs,
+        const std::uint64_t *tags, std::uint32_t valid_mask,
+        unsigned assoc, std::uint64_t tag)
 {
-    switch (tagSearchMode()) {
-      case TagSearchMode::Scalar:
-        return findWayScalar(tags, valid_mask, assoc, tag);
-      case TagSearchMode::Swar:
-        return findWaySwar(sigs, tags, valid_mask, assoc, tag);
-      case TagSearchMode::Simd:
+#if defined(__SSE2__)
+    if (mode == TagSearchMode::Simd)
         return findWaySimd(sigs, tags, valid_mask, assoc, tag);
-    }
+#else
+    (void)mode;
+    (void)sigs;
+#endif
     return findWayScalar(tags, valid_mask, assoc, tag);
 }
 

@@ -1,7 +1,6 @@
 #include "obs/metrics.hh"
 
 #include "common/json.hh"
-#include "common/stats.hh"
 
 namespace stack3d {
 namespace obs {
@@ -136,60 +135,6 @@ writeCountersJson(JsonWriter &w, const CounterSet &counters,
             w.value(v);
         w.endArray();
     }
-    w.endObject();
-}
-
-void
-writeStatsJson(JsonWriter &w, const stats::StatGroup &group)
-{
-    w.beginObject();
-    w.key("name").value(group.name());
-    w.key("stats");
-    w.beginObject();
-    for (const stats::StatBase *stat : group.statList()) {
-        w.key(stat->name());
-        w.beginObject();
-        if (auto *s = dynamic_cast<const stats::Scalar *>(stat)) {
-            w.key("kind").value("scalar");
-            w.key("value").value(s->value());
-        } else if (auto *a =
-                       dynamic_cast<const stats::Average *>(stat)) {
-            w.key("kind").value("average");
-            w.key("count").value(std::uint64_t(a->count()));
-            w.key("sum").value(a->sum());
-            w.key("mean").value(a->mean());
-        } else if (auto *d =
-                       dynamic_cast<const stats::Distribution *>(
-                           stat)) {
-            w.key("kind").value("distribution");
-            w.key("count").value(std::uint64_t(d->count()));
-            w.key("min").value(d->count() ? d->min() : 0.0);
-            w.key("max").value(d->count() ? d->max() : 0.0);
-            w.key("mean").value(d->mean());
-            w.key("stddev").value(d->stddev());
-            w.key("underflows").value(std::uint64_t(d->underflows()));
-            w.key("overflows").value(std::uint64_t(d->overflows()));
-            w.key("buckets");
-            w.beginArray();
-            for (unsigned i = 0; i < d->numBuckets(); ++i)
-                w.value(std::uint64_t(d->bucketCount(i)));
-            w.endArray();
-        } else if (auto *f =
-                       dynamic_cast<const stats::Formula *>(stat)) {
-            w.key("kind").value("formula");
-            w.key("value").value(f->value());
-        } else {
-            w.key("kind").value("unknown");
-        }
-        w.key("desc").value(stat->desc());
-        w.endObject();
-    }
-    w.endObject();
-    w.key("children");
-    w.beginArray();
-    for (const stats::StatGroup *child : group.children())
-        writeStatsJson(w, *child);
-    w.endArray();
     w.endObject();
 }
 

@@ -2,8 +2,7 @@
  * @file
  * Metrics export: CounterSet, an insertion-ordered bag of named
  * numeric counters (scalars plus optional series such as a thermal
- * residual curve), and JSON serializers for CounterSet and for whole
- * stats::StatGroup trees.
+ * residual curve), and its JSON serializer.
  *
  * CounterSet is the interchange format between subsystems and run
  * output: the mem hierarchy, cpu suite, thermal solver, and exec pool
@@ -24,10 +23,6 @@
 namespace stack3d {
 
 class JsonWriter;
-
-namespace stats {
-class StatGroup;
-} // namespace stats
 
 namespace obs {
 
@@ -89,15 +84,6 @@ class CounterSet
  */
 void writeCountersJson(JsonWriter &w, const CounterSet &counters,
                        std::size_t max_series_points = 256);
-
-/**
- * Serialize a stats::StatGroup tree as one JSON object value:
- *   {"name": ..., "stats": {<stat>: {"kind": ..., ...}},
- *    "children": [...]}.
- * Scalar/Formula carry "value"; Average carries count/sum/mean;
- * Distribution carries count/min/max/mean/stddev plus bucket counts.
- */
-void writeStatsJson(JsonWriter &w, const stats::StatGroup &group);
 
 } // namespace obs
 } // namespace stack3d

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "mem/bus.hh"
 #include "mem/cache.hh"
@@ -681,7 +680,7 @@ TEST(Engine, DeterministicResults)
     EXPECT_EQ(run(), run());
 }
 
-TEST(Hierarchy, DumpStatsListsAllSubsystems)
+TEST(Hierarchy, CountersListAllSubsystems)
 {
     MemoryHierarchy hier(
         makeHierarchyParams(StackOption::Dram32MB));
@@ -690,15 +689,13 @@ TEST(Hierarchy, DumpStatsListsAllSubsystems)
         hier.access(0, rng.uniformInt(64u << 20) & ~Addr(63),
                     trace::MemOp::Load, Cycles(i) * 8);
     }
-    std::ostringstream os;
-    hier.dumpStats(os);
-    std::string out = os.str();
+    obs::CounterSet c;
+    hier.appendCounters(c);
     for (const char *key :
-         {"hierarchy.accesses", "hierarchy.l1d0.hits",
-          "hierarchy.dram_cache.page_misses",
-          "hierarchy.dram_banks.page_hits", "hierarchy.bus.bytes",
-          "hierarchy.memory.reads"})
-        EXPECT_NE(out.find(key), std::string::npos) << key;
+         {"accesses", "l1d.hits", "dram_cache.page_misses",
+          "dram_banks.page_hits", "bus.bytes", "memory.reads"})
+        EXPECT_TRUE(c.has(key)) << key;
+    EXPECT_EQ(c.value("accesses"), 500.0);
 }
 
 // ---------------------------------------------------------------------

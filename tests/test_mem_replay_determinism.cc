@@ -4,14 +4,11 @@
  *
  *  - TraceEngine::run (event-driven issue, calendar-queue
  *    completions, SoA batched decode) is bit-identical to
- *    TraceEngine::runReference (the straightforward cycle-stepped
+ *    mem::runReferenceReplay (the straightforward cycle-stepped
  *    engine kept as the oracle) for every model output;
- *  - runSharded produces the same merged result for every shard
- *    count whether shards execute serially or on a thread pool
- *    (bit-identical, not approximately equal);
- *  - the scalar / SWAR / SSE2 tag-search variants return the same
- *    way for every probe, across associativities 1-16 with partial
- *    sets, invalid ways, and signature collisions.
+ *  - the scalar and SSE2 tag probes return the same way for every
+ *    probe, across associativities 1-16 with partial sets, invalid
+ *    ways, and signature collisions.
  */
 
 #include <gtest/gtest.h>
@@ -20,9 +17,9 @@
 #include <vector>
 
 #include "common/random.hh"
-#include "exec/pool.hh"
 #include "mem/engine.hh"
 #include "mem/hierarchy.hh"
+#include "mem/reference_engine.hh"
 #include "mem/tagsearch.hh"
 #include "workloads/registry.hh"
 
@@ -77,7 +74,8 @@ TEST(MemReplayDeterminism, FastEngineMatchesReference)
             mem::MemoryHierarchy h_ref(hp);
             mem::TraceEngine eng;
             mem::EngineResult fast = eng.run(buf, h_fast);
-            mem::EngineResult ref = eng.runReference(buf, h_ref);
+            mem::EngineResult ref =
+                mem::runReferenceReplay(eng.params(), buf, h_ref);
             expectResultsIdentical(fast, ref, name);
         }
     }
@@ -91,14 +89,14 @@ TEST(MemReplayDeterminism, FastEngineMatchesReferenceAllTagModes)
     mem::EngineResult first;
     int i = 0;
     for (mem::TagSearchMode mode :
-         {mem::TagSearchMode::Scalar, mem::TagSearchMode::Swar,
-          mem::TagSearchMode::Simd}) {
+         {mem::TagSearchMode::Scalar, mem::TagSearchMode::Simd}) {
         mem::setTagSearchMode(mode);
         mem::MemoryHierarchy h_fast(hp);
         mem::MemoryHierarchy h_ref(hp);
         mem::TraceEngine eng;
         mem::EngineResult fast = eng.run(buf, h_fast);
-        mem::EngineResult ref = eng.runReference(buf, h_ref);
+        mem::EngineResult ref =
+            mem::runReferenceReplay(eng.params(), buf, h_ref);
         expectResultsIdentical(fast, ref, "tag mode");
         if (i++ == 0)
             first = fast;
@@ -106,47 +104,6 @@ TEST(MemReplayDeterminism, FastEngineMatchesReferenceAllTagModes)
             expectResultsIdentical(fast, first, "across tag modes");
     }
     mem::clearTagSearchMode();
-}
-
-TEST(MemReplayDeterminism, ShardedBitIdenticalAcrossPools)
-{
-    trace::TraceBuffer buf = makeTrace("pcg", 20000);
-    mem::HierarchyParams hp =
-        mem::makeHierarchyParams(mem::StackOption::Sram12MB);
-    mem::TraceEngine eng;
-    for (unsigned shards : {1u, 2u, 8u}) {
-        mem::ShardedReplayResult serial =
-            eng.runSharded(buf, hp, shards, nullptr);
-        exec::ThreadPool pool(4);
-        mem::ShardedReplayResult threaded =
-            eng.runSharded(buf, hp, shards, &pool);
-        EXPECT_EQ(serial.cross_shard_deps, threaded.cross_shard_deps);
-        ASSERT_EQ(serial.shards.size(), threaded.shards.size());
-        for (unsigned s = 0; s < shards; ++s) {
-            expectResultsIdentical(serial.shards[s],
-                                   threaded.shards[s], "shard");
-        }
-        expectResultsIdentical(serial.merged, threaded.merged,
-                               "merged");
-        EXPECT_EQ(
-            serial.merged.counters.value("replay.shards"),
-            double(shards));
-    }
-}
-
-TEST(MemReplayDeterminism, ShardOneMatchesUnsharded)
-{
-    // One shard is the whole trace: the decomposition must be a
-    // no-op (no dropped dependencies, same result as run()).
-    trace::TraceBuffer buf = makeTrace("gauss", 20000);
-    mem::HierarchyParams hp =
-        mem::makeHierarchyParams(mem::StackOption::Baseline4MB);
-    mem::TraceEngine eng;
-    mem::ShardedReplayResult one = eng.runSharded(buf, hp, 1, nullptr);
-    EXPECT_EQ(one.cross_shard_deps, 0u);
-    mem::MemoryHierarchy h(hp);
-    mem::EngineResult whole = eng.run(buf, h);
-    expectResultsIdentical(one.shards[0], whole, "one-shard");
 }
 
 TEST(TagSearch, VariantsAgreeAcrossAssociativities)
@@ -174,14 +131,9 @@ TEST(TagSearch, VariantsAgreeAcrossAssociativities)
             for (std::uint64_t probe = 0; probe < 45; ++probe) {
                 int scalar = mem::findWayScalar(tags.data(), valid,
                                                 assoc, probe);
-                int swar =
-                    mem::findWaySwar(sigs.data(), tags.data(), valid,
-                                     assoc, probe);
-                int simd =
-                    mem::findWaySimd(sigs.data(), tags.data(), valid,
-                                     assoc, probe);
-                EXPECT_EQ(scalar, swar)
-                    << "assoc " << assoc << " probe " << probe;
+                int simd = mem::findWay(mem::TagSearchMode::Simd,
+                                        sigs.data(), tags.data(), valid,
+                                        assoc, probe);
                 EXPECT_EQ(scalar, simd)
                     << "assoc " << assoc << " probe " << probe;
             }
@@ -193,10 +145,13 @@ TEST(TagSearch, ModeOverride)
 {
     mem::setTagSearchMode(mem::TagSearchMode::Scalar);
     EXPECT_EQ(mem::tagSearchMode(), mem::TagSearchMode::Scalar);
-    mem::setTagSearchMode(mem::TagSearchMode::Swar);
-    EXPECT_EQ(mem::tagSearchMode(), mem::TagSearchMode::Swar);
+    mem::setTagSearchMode(mem::TagSearchMode::Simd);
+    EXPECT_EQ(mem::tagSearchMode(), mem::TagSearchMode::Simd);
     mem::clearTagSearchMode();
-    // Back to the process default (env-resolved); any value is
-    // acceptable, it just must not be stuck on the override.
-    (void)mem::tagSearchMode();
+    // Back to the build default: the SSE2 probe wherever it compiles.
+#if defined(__SSE2__)
+    EXPECT_EQ(mem::tagSearchMode(), mem::TagSearchMode::Simd);
+#else
+    EXPECT_EQ(mem::tagSearchMode(), mem::TagSearchMode::Scalar);
+#endif
 }

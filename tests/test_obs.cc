@@ -16,7 +16,6 @@
 #include "common/json.hh"
 #include "common/json_parse.hh"
 #include "common/logging.hh"
-#include "common/stats.hh"
 #include "core/run_options.hh"
 #include "mem/engine.hh"
 #include "obs/metrics.hh"
@@ -240,33 +239,6 @@ TEST(ObsCounters, JsonEmitsScalarsAndDownsampledSeries)
     // First and last points survive downsampling.
     EXPECT_EQ(curve->array.front().number, 0.0);
     EXPECT_EQ(curve->array.back().number, 999.0);
-}
-
-TEST(ObsCounters, StatsJsonRoundTrip)
-{
-    stats::StatGroup root("hier");
-    stats::Scalar reads(&root, "reads", "total reads");
-    reads = 42.0;
-    stats::Average lat(&root, "latency", "mean latency");
-    lat.sample(10.0);
-    lat.sample(20.0);
-    stats::StatGroup child("l1", &root);
-    stats::Scalar hits(&child, "hits", "l1 hits");
-    hits = 7.0;
-
-    std::ostringstream os;
-    JsonWriter w(os);
-    obs::writeStatsJson(w, root);
-    JsonValue parsed = parseOrDie(os.str());
-
-    EXPECT_EQ(parsed.find("name")->string, "hier");
-    EXPECT_EQ(parsed.findPath("stats.reads.value")->number, 42.0);
-    EXPECT_EQ(parsed.findPath("stats.latency.mean")->number, 15.0);
-    const JsonValue *children = parsed.find("children");
-    ASSERT_NE(children, nullptr);
-    ASSERT_EQ(children->array.size(), 1u);
-    EXPECT_EQ(children->array[0].findPath("stats.hits.value")->number,
-              7.0);
 }
 
 // ---------------------------------------------------------------------

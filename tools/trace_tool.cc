@@ -10,7 +10,8 @@
  *
  *   trace_tool run <file.trace> <4|12|32|64>
  *       Simulate the trace against one Figure 7 cache organization
- *       and print CPMA / bandwidth plus the full hierarchy stats.
+ *       and print CPMA / bandwidth plus the per-level counter
+ *       snapshot.
  *
  *   trace_tool stats <file.trace> [4|12|32|64] [--json]
  *       Replay the trace (default: the 32 MB DRAM cache) and dump
@@ -63,6 +64,14 @@ usage()
                  "  trace_tool sweep <file.trace>\n");
     core::BenchCli::printUsage(std::cerr);
     return 2;
+}
+
+/** Print every scalar counter as an aligned "name value" line. */
+void
+printCounters(const obs::CounterSet &counters)
+{
+    for (const auto &[key, value] : counters.scalars())
+        std::printf("  %-36s %.6g\n", key.c_str(), value);
 }
 
 /** Map a megabyte count argument to its Figure 7 organization. */
@@ -150,7 +159,7 @@ cmdRun(core::BenchCli &cli, const std::vector<std::string> &args)
                 mem::stackOptionName(opt), res.cpma, res.offdie_gbps,
                 res.bus_power_w, (unsigned long long)res.total_cycles);
     std::printf("\n");
-    hier.dumpStats(std::cout);
+    printCounters(res.counters);
     return cli.finish();
 }
 
@@ -199,8 +208,7 @@ cmdStats(core::BenchCli &cli, const std::vector<std::string> &args)
         std::printf("%s on %s: %zu records\n\n",
                     mem::stackOptionName(opt), file.c_str(),
                     buf.size());
-        for (const auto &[key, value] : cli.counters().scalars())
-            std::printf("  %-36s %.6g\n", key.c_str(), value);
+        printCounters(cli.counters());
     }
     return cli.finish();
 }
