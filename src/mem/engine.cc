@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <limits>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/arena.hh"
@@ -200,11 +203,15 @@ TraceEngine::run(const trace::TraceBuffer &buf,
     // scan instead of a probe each. Push and retire are O(1); a heap
     // here costs O(log inflight) per record and profiles as the
     // single hottest part of the loop. Completions farther out than
-    // the ring (rare: deep DRAM/bus queueing) overflow into a side
-    // list that is folded back in as the window advances. Retire
-    // drains every entry <= now before any issue, so drain order
-    // within a cycle is not observable.
-    constexpr std::uint32_t kCalBuckets = 1024; // power of two
+    // the ring overflow into a min-heap on completion cycle and move
+    // into the ring as the drain horizon reaches them. That is not a
+    // corner case: misses queue behind the bus and the DRAM banks and
+    // land 1k-8k cycles out. In a perfbench `session` round 15 % of
+    // completions land beyond 1024 cycles and 5.6 % beyond this ring;
+    // a 1 GB/s bus puts them up to 79k cycles out. Retire drains
+    // every entry <= now before any issue, so drain order within a
+    // cycle is not observable.
+    constexpr std::uint32_t kCalBuckets = 4096; // power of two
     constexpr std::uint32_t kCalMask = kCalBuckets - 1;
     constexpr std::uint32_t kCalWords = kCalBuckets / 64;
     std::uint32_t *cal_bucket = arena.allocate<std::uint32_t>(kCalBuckets);
@@ -212,12 +219,19 @@ TraceEngine::run(const trace::TraceBuffer &buf,
     std::uint32_t *cal_next = arena.allocate<std::uint32_t>(n);
     std::uint64_t *cal_occ = arena.allocate<std::uint64_t>(kCalWords);
     std::fill(cal_occ, cal_occ + kCalWords, 0);
-    std::vector<Cycles> far_when; // beyond-the-ring overflow
-    std::vector<std::uint32_t> far_rec;
-    Cycles far_min = kPending;
+    using Overflow = std::pair<Cycles, std::uint32_t>; // (cycle, record)
+    std::priority_queue<Overflow, std::vector<Overflow>, std::greater<>>
+        overflow;
+    std::uint64_t overflow_count = 0;
     std::uint32_t pending_completions = 0;
     Cycles drained_to = 0; // buckets drained through drained_to - 1
 
+    auto ringPush = [&](Cycles t, std::uint32_t rec) {
+        std::uint32_t b = std::uint32_t(t) & kCalMask;
+        cal_next[rec] = cal_bucket[b];
+        cal_bucket[b] = rec;
+        cal_occ[b >> 6] |= std::uint64_t(1) << (b & 63);
+    };
     auto completionPush = [&](Cycles when, std::uint32_t rec) {
         // A zero-latency completion (when == now) has already had its
         // waiters woken at issue; clamping it to drained_to retires
@@ -226,14 +240,10 @@ TraceEngine::run(const trace::TraceBuffer &buf,
         Cycles t = when < drained_to ? drained_to : when;
         ++pending_completions;
         if (t - drained_to < kCalBuckets) {
-            std::uint32_t b = std::uint32_t(t) & kCalMask;
-            cal_next[rec] = cal_bucket[b];
-            cal_bucket[b] = rec;
-            cal_occ[b >> 6] |= std::uint64_t(1) << (b & 63);
+            ringPush(t, rec);
         } else {
-            far_when.push_back(t);
-            far_rec.push_back(rec);
-            far_min = std::min(far_min, t);
+            overflow.emplace(t, rec);
+            ++overflow_count;
         }
     };
     auto drainBucket = [&](std::uint32_t b) {
@@ -247,29 +257,15 @@ TraceEngine::run(const trace::TraceBuffer &buf,
             rec = nxt;
         }
     };
-    // Fold overflow entries that now fit the ring back in. Called
-    // whenever drained_to advances past a ring boundary.
-    auto refillFromFar = [&] {
-        if (far_min - drained_to >= kCalBuckets)
-            return;
-        Cycles new_min = kPending;
-        std::size_t kept = 0;
-        for (std::size_t i = 0; i < far_when.size(); ++i) {
-            if (far_when[i] - drained_to < kCalBuckets) {
-                std::uint32_t b = std::uint32_t(far_when[i]) & kCalMask;
-                cal_next[far_rec[i]] = cal_bucket[b];
-                cal_bucket[b] = far_rec[i];
-                cal_occ[b >> 6] |= std::uint64_t(1) << (b & 63);
-            } else {
-                new_min = std::min(new_min, far_when[i]);
-                far_when[kept] = far_when[i];
-                far_rec[kept] = far_rec[i];
-                ++kept;
-            }
+    // Move the overflow entries that now fit the ring into it. Called
+    // whenever drained_to advances; a chunk advances it by at most one
+    // ring lap, so no overflow entry falls behind the horizon.
+    auto refillFromOverflow = [&] {
+        while (!overflow.empty() &&
+               overflow.top().first - drained_to < kCalBuckets) {
+            ringPush(overflow.top().first, overflow.top().second);
+            overflow.pop();
         }
-        far_when.resize(kept);
-        far_rec.resize(kept);
-        far_min = new_min;
     };
     // Retire every completion due at or before @p upto, walking the
     // occupancy bitmap word-wise so runs of empty buckets cost one
@@ -299,7 +295,7 @@ TraceEngine::run(const trace::TraceBuffer &buf,
                 t += span;
             }
             drained_to = chunk_end + 1;
-            refillFromFar();
+            refillFromOverflow();
         }
     };
     // First pending completion time after the current drain horizon,
@@ -318,7 +314,7 @@ TraceEngine::run(const trace::TraceBuffer &buf,
                 return t + Cycles(std::countr_zero(bits));
             t += span;
         }
-        return far_min;
+        return overflow.empty() ? kPending : overflow.top().first;
     };
 
     Cycles now = 0;
@@ -460,6 +456,8 @@ TraceEngine::run(const trace::TraceBuffer &buf,
                         double(warmup_cycles));
     result.counters.set("replay.batches",
                         double(cols.decodeBatches()));
+    result.counters.set("replay.calendar_overflows",
+                        double(overflow_count));
     for (unsigned b = 0; b < 4; ++b)
         result.latency_frac[b] =
             double(lat_buckets[b]) / double(measured_records);

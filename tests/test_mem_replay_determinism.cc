@@ -3,9 +3,10 @@
  * Equivalence guarantees of the optimized trace-replay data path:
  *
  *  - TraceEngine::run (event-driven issue, calendar-queue
- *    completions, SoA batched decode) is bit-identical to
- *    mem::runReferenceReplay (the straightforward cycle-stepped
- *    engine kept as the oracle) for every model output;
+ *    completions with a min-heap overflow, SoA batched decode) is
+ *    bit-identical to mem::runReferenceReplay (the straightforward
+ *    cycle-stepped engine kept as the oracle) for every model
+ *    output, including runs whose completions overflow the ring;
  *  - the scalar and SSE2 tag probes return the same way for every
  *    probe, across associativities 1-16 with partial sets, invalid
  *    ways, and signature collisions.
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/random.hh"
@@ -77,6 +79,46 @@ TEST(MemReplayDeterminism, FastEngineMatchesReference)
             mem::EngineResult ref =
                 mem::runReferenceReplay(eng.params(), buf, h_ref);
             expectResultsIdentical(fast, ref, name);
+        }
+    }
+}
+
+TEST(MemReplayDeterminism, CalendarOverflowMatchesReference)
+{
+    // Completions beyond the calendar ring go through its overflow
+    // heap. At the built 16 GB/s bus only windows 128 and 256
+    // overflow. A 1 GB/s bus queues misses 20k-79k cycles out, so
+    // every run takes the overflow path. At 0.01 GB/s one 64-byte
+    // line holds the bus for 15,360 cycles, longer than the ring, so
+    // the ring runs empty and the heap's top sets the clock whenever
+    // the engine stalls.
+    trace::TraceBuffer buf = makeTrace("sMVM", 20000);
+    for (mem::StackOption opt :
+         {mem::StackOption::Baseline4MB, mem::StackOption::Dram64MB}) {
+        for (double gbps : {16.0, 1.0, 0.01}) {
+            for (unsigned window : {64u, 128u, 256u}) {
+                mem::HierarchyParams hp = mem::makeHierarchyParams(opt);
+                hp.bus.bandwidth_gbps = gbps;
+                mem::MemoryHierarchy h_fast(hp);
+                mem::MemoryHierarchy h_ref(hp);
+                mem::EngineParams ep;
+                ep.window = window;
+                mem::EngineResult fast =
+                    mem::TraceEngine(ep).run(buf, h_fast);
+                mem::EngineResult ref =
+                    mem::runReferenceReplay(ep, buf, h_ref);
+                const std::string what =
+                    std::string(mem::stackOptionName(opt)) + " at " +
+                    std::to_string(gbps) + " GB/s, window " +
+                    std::to_string(window);
+                expectResultsIdentical(fast, ref, what.c_str());
+                if (gbps < 16.0) {
+                    EXPECT_GT(fast.counters.value(
+                                  "replay.calendar_overflows"),
+                              0.0)
+                        << what;
+                }
+            }
         }
     }
 }
