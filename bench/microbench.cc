@@ -146,33 +146,24 @@ BM_TraceEngineReference(benchmark::State &state)
 BENCHMARK(BM_TraceEngineReference)->Unit(benchmark::kMillisecond);
 
 void
-BM_TraceDecode(benchmark::State &state)
-{
-    workloads::WorkloadConfig cfg;
-    cfg.records_per_thread = 100000;
-    auto kernel = workloads::makeRmsKernel("sMVM");
-    trace::TraceBuffer buf = kernel->generate(cfg);
-
-    trace::TraceColumns cols;
-    for (auto _ : state) {
-        cols.assign(buf);
-        benchmark::DoNotOptimize(cols.addr());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            std::int64_t(buf.size()));
-}
-BENCHMARK(BM_TraceDecode);
-
-void
 BM_TraceGeneration(benchmark::State &state)
 {
     workloads::WorkloadConfig cfg;
     cfg.records_per_thread = 100000;
     auto kernel = workloads::makeRmsKernel("conj");
+    std::size_t records = 0;
+    std::size_t bytes = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(kernel->generate(cfg));
+        trace::TraceBuffer buf = kernel->generate(cfg);
+        records = buf.size();
+        bytes = buf.columns().ownedBytes();
+        benchmark::DoNotOptimize(buf);
     }
-    state.SetItemsProcessed(state.iterations() * 200000);
+    state.SetItemsProcessed(state.iterations() * std::int64_t(records));
+    // What the built trace holds per record, counted from its
+    // containers' capacities.
+    state.counters["bytes_per_record"] =
+        double(bytes) / double(records > 0 ? records : 1);
 }
 BENCHMARK(BM_TraceGeneration)->Unit(benchmark::kMillisecond);
 
@@ -215,7 +206,11 @@ thermalSolveBench(benchmark::State &state, thermal::Precond precond,
 
 } // anonymous namespace
 
-/** The production fast path: multigrid + slab-parallel kernels. */
+/**
+ * Multigrid with slab-parallel kernels on a pool. Studies do not
+ * solve this way: they parallelize across cells and solve each one
+ * serially (BM_ThermalSolveMG).
+ */
 void
 BM_ThermalSolve(benchmark::State &state)
 {
@@ -224,7 +219,7 @@ BM_ThermalSolve(benchmark::State &state)
 BENCHMARK(BM_ThermalSolve)->Arg(16)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
-/** Multigrid alone (serial kernels), for the parallel-gain split. */
+/** Multigrid with serial kernels: the solve every study cell runs. */
 void
 BM_ThermalSolveMG(benchmark::State &state)
 {

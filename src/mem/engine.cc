@@ -42,14 +42,12 @@ TraceEngine::run(const trace::TraceBuffer &buf,
                        _params.warmup_fraction < 1.0,
                    "warmup fraction must be in [0, 1)");
 
-    // Batched SoA decode, cached on the buffer: studies replay the
-    // same trace once per stack option (and benchmarks once per
-    // rep), so the decode and the per-cpu order index are built on
-    // first replay and reused by every later one. The issue loop
-    // below reads the narrow column arrays, not the 32-byte records.
+    // The trace is stored as columns with its per-cpu order index,
+    // both built with the trace, so every replay (one per stack
+    // option, and per rep in benchmarks) streams the narrow arrays.
     const trace::TraceColumns &cols = buf.columns();
     const std::uint64_t *addr_col = cols.addr();
-    const std::uint64_t *dep_col = cols.dep();
+    const std::uint32_t *dep_col = cols.dep();
     const std::uint8_t *cpu_col = cols.cpu();
     const trace::MemOp *op_col = cols.op();
 
@@ -68,8 +66,8 @@ TraceEngine::run(const trace::TraceBuffer &buf,
     Arena arena;
 
     // Per-cpu program-order lists, prefix-bucketed into one array
-    // (cached alongside the columns). Cpus past the trace's highest
-    // id have zero records and an empty bucket.
+    // (stored with the columns). Cpus past the trace's highest id
+    // have zero records and an empty bucket.
     const std::uint32_t *order = cols.order();
     std::vector<std::uint64_t> cpu_count(num_cpus, 0);
     std::vector<std::uint64_t> order_base(num_cpus, 0);
@@ -349,9 +347,9 @@ TraceEngine::run(const trace::TraceBuffer &buf,
                    live[c] + inflight[c] < window) {
                 std::uint32_t idx = order[base + pos[c]++];
                 ++live[c];
-                std::uint64_t d =
-                    honor_deps ? dep_col[idx] : trace::kNoDep;
-                if (d != trace::kNoDep && completion[d] > now) {
+                std::uint32_t d =
+                    honor_deps ? dep_col[idx] : trace::kNoDepIndex;
+                if (d != trace::kNoDepIndex && completion[d] > now) {
                     // Covers both an unissued dependency (kPending)
                     // and one completing in the future; either way
                     // the chain is walked at the dependency's retire.
@@ -378,7 +376,7 @@ TraceEngine::run(const trace::TraceBuffer &buf,
                 // always points at an older record.
                 S3D_DCHECK(completion[idx] == kPending)
                     << "record " << idx << " issued twice";
-                S3D_DCHECK(dep_col[idx] == trace::kNoDep ||
+                S3D_DCHECK(dep_col[idx] == trace::kNoDepIndex ||
                            dep_col[idx] < idx)
                     << "record " << idx << " depends on "
                     << dep_col[idx];

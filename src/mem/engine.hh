@@ -102,10 +102,10 @@ class TraceEngine
      * Simulate @p buf against @p hier (which accumulates state and
      * counters; use a fresh hierarchy per run).
      *
-     * This is the fast path: SoA column decode of the trace, arena-
-     * backed issue state, and linked-list issue windows that skip
-     * the per-cycle window copy. It issues the exact same reference
-     * sequence as the oracle, mem::runReferenceReplay()
+     * This is the fast path: it streams the trace's columns, keeps
+     * its issue state in an arena, and uses linked-list issue windows
+     * that skip the per-cycle window copy. It issues the exact same
+     * reference sequence as the oracle, mem::runReferenceReplay()
      * (mem/reference_engine.hh), and produces bit-identical results
      * (pinned by tests/test_mem_replay_determinism.cc).
      */

@@ -131,7 +131,7 @@ runReferenceReplay(const EngineParams &params,
                     window[kept++] = idx;
                     continue;
                 }
-                const trace::TraceRecord &rec = buf[idx];
+                const trace::TraceRecord rec = buf[idx];
                 // Each record issues exactly once, and a dependency
                 // always points at an older record.
                 S3D_DCHECK(completion[idx] == kPending)

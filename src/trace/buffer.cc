@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "trace/columns.hh"
-
 namespace stack3d {
 namespace trace {
 
@@ -21,108 +19,36 @@ memOpName(MemOp op)
     return "unknown";
 }
 
-TraceBuffer::TraceBuffer(std::vector<TraceRecord> records)
-    : _records(std::move(records))
+TraceBuffer::TraceBuffer(const std::vector<TraceRecord> &records)
 {
-}
-
-TraceBuffer::TraceBuffer(const TraceBuffer &other)
-    : _records(other._records)
-{
-}
-
-TraceBuffer &
-TraceBuffer::operator=(const TraceBuffer &other)
-{
-    if (this != &other) {
-        _records = other._records;
-        // lint3d: safe-naked-new-ok (atomic publish owns the cache)
-        delete _columns.exchange(nullptr, std::memory_order_acq_rel);
-    }
-    return *this;
-}
-
-TraceBuffer::TraceBuffer(TraceBuffer &&other) noexcept
-    : _records(std::move(other._records)),
-      _columns(other._columns.exchange(nullptr,
-                                       std::memory_order_acq_rel))
-{
-}
-
-TraceBuffer &
-TraceBuffer::operator=(TraceBuffer &&other) noexcept
-{
-    if (this != &other) {
-        _records = std::move(other._records);
-        // lint3d: safe-naked-new-ok (atomic publish owns the cache)
-        delete _columns.exchange(
-            other._columns.exchange(nullptr,
-                                    std::memory_order_acq_rel),
-            std::memory_order_acq_rel);
-    }
-    return *this;
-}
-
-TraceBuffer::~TraceBuffer()
-{
-    // lint3d: safe-naked-new-ok (atomic publish owns the cache)
-    delete _columns.load(std::memory_order_acquire);
-}
-
-const TraceColumns &
-TraceBuffer::columns() const
-{
-    const TraceColumns *cols = _columns.load(std::memory_order_acquire);
-    if (cols)
-        return *cols;
-    // First use (or a race between first users): decode off to the
-    // side, then try to publish. Exactly one decode wins; a loser
-    // frees its copy and reads the winner's.
-    // The cache pointer is published by CAS; std::atomic cannot hold
-    // a unique_ptr, so lifetime is managed manually here and released
-    // in the special members.
-    // lint3d: safe-naked-new-ok (CAS-published owner)
-    auto *fresh = new TraceColumns(*this);
-    const TraceColumns *expected = nullptr;
-    if (_columns.compare_exchange_strong(expected, fresh,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-        return *fresh;
-    }
-    delete fresh; // lint3d: safe-naked-new-ok (lost the publish race)
-    return *expected;
-}
-
-bool
-TraceBuffer::validate() const
-{
-    for (std::size_t i = 0; i < _records.size(); ++i) {
-        const TraceRecord &rec = _records[i];
-        if (rec.hasDep() && rec.dep >= i)
-            return false;
-        if (rec.size == 0 || rec.size > 64)
-            return false;
-    }
-    return true;
+    TraceColumns::Builder builder(records.size());
+    for (const TraceRecord &rec : records)
+        builder.push(rec);
+    _columns = builder.finish();
 }
 
 TraceStats
 TraceBuffer::computeStats() const
 {
+    const std::size_t n = size();
+    const std::uint64_t *addr = _columns.addr();
+    const std::uint32_t *dep = _columns.dep();
+    const std::uint8_t *cpu = _columns.cpu();
+    const MemOp *op = _columns.op();
+
     TraceStats st;
-    st.num_records = _records.size();
+    st.num_records = n;
 
     // Unique 64 B lines via sort+unique: deterministic (no hash
     // iteration anywhere near results) and cache-friendlier than a
     // node-based set for multi-million-record traces.
     std::vector<Addr> lines;
-    lines.reserve(_records.size());
+    lines.reserve(n);
     // depth[i] = length of the dependency chain ending at record i.
-    std::vector<std::uint32_t> depth(_records.size(), 1);
+    std::vector<std::uint32_t> depth(n, 1);
 
-    for (std::size_t i = 0; i < _records.size(); ++i) {
-        const TraceRecord &rec = _records[i];
-        switch (rec.op) {
+    for (std::size_t i = 0; i < n; ++i) {
+        switch (op[i]) {
           case MemOp::Load:
             ++st.num_loads;
             break;
@@ -133,17 +59,17 @@ TraceBuffer::computeStats() const
             ++st.num_ifetches;
             break;
         }
-        if (rec.hasDep()) {
+        if (dep[i] != kNoDepIndex) {
             ++st.num_with_dep;
-            depth[i] = depth[rec.dep] + 1;
+            depth[i] = depth[dep[i]] + 1;
         }
         st.max_dep_chain = std::max<std::uint64_t>(st.max_dep_chain,
                                                    depth[i]);
-        if (rec.cpu == 0)
+        if (cpu[i] == 0)
             ++st.records_cpu0;
         else
             ++st.records_cpu1;
-        lines.push_back(rec.addr >> 6);
+        lines.push_back(addr[i] >> 6);
     }
     std::sort(lines.begin(), lines.end());
     lines.erase(std::unique(lines.begin(), lines.end()), lines.end());

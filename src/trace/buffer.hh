@@ -8,16 +8,15 @@
 #ifndef STACK3D_TRACE_BUFFER_HH
 #define STACK3D_TRACE_BUFFER_HH
 
-#include <atomic>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "trace/columns.hh"
 #include "trace/record.hh"
 
 namespace stack3d {
 namespace trace {
-
-class TraceColumns;
 
 /** Summary statistics of a trace. */
 struct TraceStats
@@ -37,52 +36,49 @@ struct TraceStats
     std::uint64_t records_cpu1 = 0;
 };
 
-/** An immutable sequence of trace records. */
+/**
+ * An immutable sequence of trace records, held once, as the columns
+ * replay reads (see trace/columns.hh).
+ */
 class TraceBuffer
 {
   public:
     TraceBuffer() = default;
-    explicit TraceBuffer(std::vector<TraceRecord> records);
+    explicit TraceBuffer(TraceColumns columns)
+        : _columns(std::move(columns))
+    {
+    }
+    /** Fill the columns from @p records, in order. */
+    explicit TraceBuffer(const std::vector<TraceRecord> &records);
 
-    // Copies share nothing; the column cache is rebuilt on demand.
-    TraceBuffer(const TraceBuffer &other);
-    TraceBuffer &operator=(const TraceBuffer &other);
-    TraceBuffer(TraceBuffer &&other) noexcept;
-    TraceBuffer &operator=(TraceBuffer &&other) noexcept;
-    ~TraceBuffer();
-
-    const TraceRecord &operator[](std::size_t i) const { return _records[i]; }
-    std::size_t size() const { return _records.size(); }
-    bool empty() const { return _records.empty(); }
-
-    auto begin() const { return _records.begin(); }
-    auto end() const { return _records.end(); }
-
-    const std::vector<TraceRecord> &records() const { return _records; }
+    /** Record @p i, reassembled from the columns. */
+    TraceRecord operator[](std::size_t i) const
+    {
+        return _columns.record(i);
+    }
+    std::size_t size() const { return _columns.size(); }
+    bool empty() const { return _columns.empty(); }
 
     /**
-     * Validate structural invariants: every dependency points at an
-     * earlier record. @return true if well-formed.
+     * Structural invariants, checked while the columns were filled:
+     * every dependency points at an earlier record and every access
+     * size is in [1, 64]. @return true if well-formed.
      */
-    [[nodiscard]] bool validate() const;
+    [[nodiscard]] bool validate() const { return _columns.wellFormed(); }
 
     /** Compute summary statistics (O(n), walks the whole trace). */
     TraceStats computeStats() const;
 
     /**
-     * SoA decode of this trace, built lazily on first use and cached
-     * for the buffer's lifetime. Studies and benchmarks replay the
-     * same immutable buffer many times (once per stack option, per
-     * rep); decoding and order-indexing it once amortizes that work
-     * across every replay. Thread-safe: concurrent first callers
-     * race to publish one decode, losers discard theirs.
+     * The trace's storage: per-field columns plus the per-cpu
+     * program-order index, built once when the trace was. Studies
+     * replay one buffer once per stack option, and benchmarks once
+     * per rep, all from these arrays.
      */
-    const TraceColumns &columns() const;
+    const TraceColumns &columns() const { return _columns; }
 
   private:
-    std::vector<TraceRecord> _records;
-    /** Lazily built column cache; owned, never mutated once set. */
-    mutable std::atomic<const TraceColumns *> _columns{nullptr};
+    TraceColumns _columns;
 };
 
 } // namespace trace

@@ -1,5 +1,6 @@
 #include "file.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <type_traits>
@@ -59,7 +60,7 @@ writeTraceFile(const std::string &path, const TraceBuffer &buf)
     std::vector<PackedRecord> pack;
     pack.reserve(chunk);
     for (std::size_t i = 0; i < buf.size(); ++i) {
-        const TraceRecord &rec = buf[i];
+        const TraceRecord rec = buf[i];
         PackedRecord p{};
         p.addr = rec.addr;
         p.ip = rec.ip;
@@ -98,14 +99,26 @@ readTraceFile(const std::string &path)
                       " unsupported (expected ", kTraceFileVersion, ")");
     }
 
-    std::vector<TraceRecord> records;
-    records.reserve(hdr.num_records);
-    constexpr std::size_t chunk = 1 << 16;
-    std::vector<PackedRecord> pack(chunk);
+    // The record count is outside input: check it against what the
+    // file holds and what a trace can index before sizing anything.
+    const std::streamoff body = in.tellg();
+    in.seekg(0, std::ios::end);
+    const std::uint64_t body_bytes = std::uint64_t(in.tellg() - body);
+    in.seekg(body);
+    if (!in || hdr.num_records > body_bytes / sizeof(PackedRecord))
+        stack3d_fatal("truncated trace file '", path, "'");
+    if (hdr.num_records > kMaxTraceRecords) {
+        stack3d_fatal("trace file '", path, "' holds ", hdr.num_records,
+                      " records; at most ", kMaxTraceRecords,
+                      " are supported");
+    }
+
+    TraceColumns::Builder records(hdr.num_records);
+    std::vector<PackedRecord> pack(TraceColumns::kDecodeBatch);
     std::uint64_t remaining = hdr.num_records;
     while (remaining > 0) {
-        std::size_t n = std::size_t(std::min<std::uint64_t>(remaining,
-                                                            chunk));
+        std::size_t n = std::size_t(
+            std::min<std::uint64_t>(remaining, pack.size()));
         in.read(reinterpret_cast<char *>(pack.data()),
                 std::streamsize(n * sizeof(PackedRecord)));
         if (!in)
@@ -119,12 +132,12 @@ readTraceFile(const std::string &path)
             rec.cpu = p.cpu;
             rec.op = MemOp(p.op);
             rec.size = p.size;
-            records.push_back(rec);
+            records.push(rec);
         }
         remaining -= n;
     }
 
-    TraceBuffer buf(std::move(records));
+    TraceBuffer buf(records.finish());
     if (!buf.validate())
         stack3d_fatal("trace file '", path, "' contains invalid records");
     return buf;

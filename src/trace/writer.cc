@@ -1,5 +1,8 @@
 #include "writer.hh"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/check.hh"
 #include "common/logging.hh"
 
@@ -12,7 +15,7 @@ ThreadTracer::push(TraceRecord rec)
     RecordId id = _records.size();
     stack3d_assert(!rec.hasDep() || rec.dep < id,
                    "dependency must reference an earlier record");
-    _records.push_back(rec);
+    _records.push(rec);
     return id;
 }
 
@@ -66,15 +69,15 @@ ThreadTracer::ifetch(Addr addr, std::uint8_t size)
     return push(rec);
 }
 
-std::vector<TraceRecord>
+RecordBlocks
 ThreadTracer::take()
 {
     _last_writer.clear();
-    return std::move(_records);
+    return std::exchange(_records, RecordBlocks());
 }
 
 TraceBuffer
-TraceMerger::merge(std::vector<std::vector<TraceRecord>> thread_traces) const
+TraceMerger::merge(std::vector<RecordBlocks> thread_traces) const
 {
     stack3d_assert(_chunk > 0, "merge chunk must be positive");
 
@@ -82,44 +85,51 @@ TraceMerger::merge(std::vector<std::vector<TraceRecord>> thread_traces) const
     for (const auto &tt : thread_traces)
         total += tt.size();
 
-    std::vector<TraceRecord> merged;
-    merged.reserve(total);
-
-    // For each thread, map local record id -> merged id.
-    std::vector<std::vector<std::uint64_t>> remap(thread_traces.size());
+    // chunk_base[t][k]: merged id of the first record of thread t's
+    // k-th chunk. Chunks land contiguously, so local id l maps to
+    // chunk_base[t][l / chunk] + l % chunk.
+    std::vector<std::vector<std::uint64_t>> chunk_base(
+        thread_traces.size());
     for (std::size_t t = 0; t < thread_traces.size(); ++t)
-        remap[t].resize(thread_traces[t].size());
+        chunk_base[t].reserve((thread_traces[t].size() + _chunk - 1) /
+                              _chunk);
 
+    TraceColumns::Builder out(total);
+    std::uint64_t next = 0;
     std::vector<std::size_t> pos(thread_traces.size(), 0);
     bool progress = true;
     while (progress) {
         progress = false;
         for (std::size_t t = 0; t < thread_traces.size(); ++t) {
-            auto &src = thread_traces[t];
+            const RecordBlocks &src = thread_traces[t];
             std::size_t take_n = std::min(_chunk, src.size() - pos[t]);
+            if (take_n == 0)
+                continue;
+            chunk_base[t].push_back(next);
+            const std::vector<std::uint64_t> &bases = chunk_base[t];
             for (std::size_t k = 0; k < take_n; ++k) {
                 std::size_t local = pos[t] + k;
                 TraceRecord rec = src[local];
                 if (rec.hasDep()) {
                     // Same-thread, earlier-record dependency: its
-                    // remap entry was filled in a previous iteration.
+                    // chunk was placed in this or an earlier turn.
                     S3D_DCHECK(rec.dep < local)
                         << "thread " << t << " record " << local
                         << " depends on " << rec.dep;
-                    rec.dep = remap[t][S3D_BOUNDS(rec.dep,
-                                                  remap[t].size())];
+                    rec.dep = bases[S3D_BOUNDS(rec.dep / _chunk,
+                                               bases.size())] +
+                              rec.dep % _chunk;
                 }
-                remap[t][local] = merged.size();
-                merged.push_back(rec);
+                out.push(rec);
             }
+            next += take_n;
             pos[t] += take_n;
-            progress = progress || take_n > 0;
+            progress = true;
         }
     }
 
-    S3D_DCHECK(merged.size() == total)
-        << "merged " << merged.size() << " of " << total;
-    TraceBuffer buf(std::move(merged));
+    S3D_DCHECK(next == total) << "merged " << next << " of " << total;
+    TraceBuffer buf(out.finish());
     stack3d_assert(buf.validate(), "merged trace failed validation");
     return buf;
 }

@@ -20,14 +20,17 @@
  * Per-thread traces are combined by TraceMerger, which interleaves
  * records from the threads in fixed-size chunks (modelling two cores
  * making progress at a similar rate) and remaps dependency ids into
- * the merged id space.
+ * the merged id space, writing the merged records straight into the
+ * trace's columns.
  */
 
 #ifndef STACK3D_TRACE_WRITER_HH
 #define STACK3D_TRACE_WRITER_HH
 
+#include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "trace/buffer.hh"
@@ -41,6 +44,48 @@ using RecordId = std::uint64_t;
 
 /** Sentinel meaning "no explicit dependency". */
 constexpr RecordId kNone = kNoDep;
+
+/**
+ * One thread's records, in fixed blocks of kBlockRecords. Appending
+ * never moves a stored record, so however far a kernel runs past its
+ * record budget, storage stays within one block of 32 B/record (plus
+ * one 8 B table slot per block).
+ */
+class RecordBlocks
+{
+  public:
+    static constexpr std::size_t kBlockRecords = 1024;
+
+    std::size_t size() const { return _size; }
+
+    const TraceRecord &
+    operator[](std::size_t i) const
+    {
+        return (*_blocks[i / kBlockRecords])[i % kBlockRecords];
+    }
+
+    void
+    push(const TraceRecord &rec)
+    {
+        if (_size % kBlockRecords == 0)
+            _blocks.push_back(std::make_unique<Block>());
+        (*_blocks.back())[_size % kBlockRecords] = rec;
+        ++_size;
+    }
+
+    /** Heap bytes held: the blocks plus the block table's capacity. */
+    std::size_t
+    storageBytes() const
+    {
+        return _blocks.size() * sizeof(Block) +
+               _blocks.capacity() * sizeof(_blocks[0]);
+    }
+
+  private:
+    using Block = std::array<TraceRecord, kBlockRecords>;
+    std::vector<std::unique_ptr<Block>> _blocks;
+    std::size_t _size = 0;
+};
 
 /** Records one thread's memory instructions with dependency tracking. */
 class ThreadTracer
@@ -76,25 +121,17 @@ class ThreadTracer
     /** Record an instruction fetch. */
     RecordId ifetch(Addr addr, std::uint8_t size = 16);
 
-    /**
-     * Pre-size the record store. Kernels know their record budget
-     * (records_per_thread) up front; reserving once avoids the
-     * doubling-regrowth copies of a multi-hundred-thousand-record
-     * push sequence.
-     */
-    void reserve(std::size_t n) { _records.reserve(n); }
-
     std::size_t size() const { return _records.size(); }
 
     /** Steal the accumulated records (tracer resets to empty). */
-    std::vector<TraceRecord> take();
+    RecordBlocks take();
 
   private:
     RecordId push(TraceRecord rec);
 
     std::uint8_t _cpu;
     bool _track_raw;
-    std::vector<TraceRecord> _records;
+    RecordBlocks _records;
     /**
      * 64 B line -> id of last store to it. Ordered map by policy
      * (lint3d det-unordered-container): only point lookups today,
@@ -106,7 +143,9 @@ class ThreadTracer
 
 /**
  * Merge per-thread traces into one SMP trace by chunk-wise round-robin
- * interleaving, remapping dependency ids into the merged space.
+ * interleaving, remapping dependency ids into the merged space. A
+ * thread's chunk k lands contiguously, so the remap keeps one merged
+ * base index per chunk, not one per record.
  */
 class TraceMerger
 {
@@ -119,8 +158,7 @@ class TraceMerger
      * Dependencies always reference records from the same source
      * thread, so remapping preserves the "earlier record" invariant.
      */
-    TraceBuffer merge(std::vector<std::vector<TraceRecord>> thread_traces)
-        const;
+    TraceBuffer merge(std::vector<RecordBlocks> thread_traces) const;
 
   private:
     std::size_t _chunk;

@@ -46,7 +46,7 @@ RmsKernel::generate(const WorkloadConfig &cfg) const
     std::unique_ptr<KernelState> state = buildState(setup);
     stack3d_assert(state != nullptr, "kernel produced no state");
 
-    std::vector<std::vector<trace::TraceRecord>> threads;
+    std::vector<trace::RecordBlocks> threads;
     threads.reserve(cfg.num_threads);
     for (unsigned t = 0; t < cfg.num_threads; ++t) {
         KernelContext ctx(t, cfg.num_threads, cfg.records_per_thread,

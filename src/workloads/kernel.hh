@@ -105,9 +105,6 @@ class KernelContext
           _budget(budget), _tracer(std::uint8_t(thread_id)),
           _rng(seed ^ (0x9e3779b9ULL * (thread_id + 1)))
     {
-        // Kernels stop within one loop body of the budget, so this
-        // single reservation absorbs nearly every regrowth copy.
-        _tracer.reserve(budget);
     }
 
     unsigned threadId() const { return _thread_id; }
@@ -173,7 +170,7 @@ class KernelContext
     }
 
     /** Steal the thread's records (called by the generator). */
-    std::vector<trace::TraceRecord> takeRecords() { return _tracer.take(); }
+    trace::RecordBlocks takeRecords() { return _tracer.take(); }
 
   private:
     static Addr siteIp(unsigned site) { return 0x400000 + Addr(site) * 16; }

@@ -13,6 +13,7 @@
 #include "core/memory_study.hh"
 #include "core/thermal_study.hh"
 #include "trace/file.hh"
+#include "trace/writer.hh"
 #include "floorplan/reference.hh"
 #include "mem/engine.hh"
 #include "workloads/registry.hh"
@@ -29,6 +30,15 @@ kernelTrace(const char *name, std::uint64_t records_per_thread,
     cfg.records_per_thread = records_per_thread;
     cfg.scale = scale;
     return workloads::makeRmsKernel(name)->generate(cfg);
+}
+
+/** A one-thread trace: the tracer's records, in order. */
+trace::TraceBuffer
+singleThread(trace::ThreadTracer &tracer)
+{
+    std::vector<trace::RecordBlocks> threads;
+    threads.push_back(tracer.take());
+    return trace::TraceMerger().merge(std::move(threads));
 }
 
 } // anonymous namespace
@@ -83,7 +93,7 @@ TEST(Integration, PrefetcherAblation)
     trace::RecordId prev = trace::kNone;
     for (int i = 0; i < 60000; ++i)
         prev = tracer.load(0x1000000 + Addr(i) * 16, 0x1, prev, 16);
-    trace::TraceBuffer buf(tracer.take());
+    trace::TraceBuffer buf = singleThread(tracer);
 
     auto run = [&](bool prefetch) {
         mem::HierarchyParams p =
@@ -124,7 +134,7 @@ TEST(Integration, SectoredVsNonSectoredDramCache)
         Addr addr = rng.uniformInt(512u << 20) & ~Addr(63);
         tracer.load(addr, 0x1);
     }
-    trace::TraceBuffer buf(tracer.take());
+    trace::TraceBuffer buf = singleThread(tracer);
 
     auto offdie = [&](std::uint32_t sector_bytes) {
         mem::HierarchyParams p =

@@ -500,7 +500,16 @@ namespace {
 trace::TraceBuffer
 makeTrace(const std::vector<trace::TraceRecord> &recs)
 {
-    return trace::TraceBuffer(std::vector<trace::TraceRecord>(recs));
+    return trace::TraceBuffer(recs);
+}
+
+/** A one-thread trace: the tracer's records, in order. */
+trace::TraceBuffer
+singleThread(trace::ThreadTracer &tracer)
+{
+    std::vector<trace::RecordBlocks> threads;
+    threads.push_back(tracer.take());
+    return trace::TraceMerger().merge(std::move(threads));
 }
 
 trace::TraceRecord
@@ -671,7 +680,7 @@ TEST(Engine, DeterministicResults)
         prev = rng.chance(0.3) ? tracer.load(a, 0x1, prev)
                                : tracer.load(a, 0x1);
     }
-    trace::TraceBuffer buf(tracer.take());
+    trace::TraceBuffer buf = singleThread(tracer);
     auto run = [&]() {
         MemoryHierarchy hier(
             makeHierarchyParams(StackOption::Dram32MB));

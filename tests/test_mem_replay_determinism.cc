@@ -23,6 +23,7 @@
 #include "mem/hierarchy.hh"
 #include "mem/reference_engine.hh"
 #include "mem/tagsearch.hh"
+#include "trace/writer.hh"
 #include "workloads/registry.hh"
 
 using namespace stack3d;
@@ -121,6 +122,43 @@ TEST(MemReplayDeterminism, CalendarOverflowMatchesReference)
             }
         }
     }
+}
+
+TEST(MemReplayDeterminism, OverflowBurstMatchesReference)
+{
+    // Off-die fills hold the bus at least one cycle each, so they
+    // complete at most one per cycle and never bunch up. Stacked
+    // DRAM-cache hits do not cross the bus: with a 20,000-cycle tag
+    // lookup, both cpus' L1 misses into a 256 KB footprint land far
+    // beyond the 4096-cycle ring, and two of them can come due in the
+    // same cycle. When the engine stalls it jumps to the first, and
+    // one drain chunk then has several overflowed completions due:
+    // the heap must hand the ring every due entry, not just its top,
+    // or the rest are stranded behind the drain horizon and the
+    // replay never ends.
+    trace::ThreadTracer t0(0), t1(1);
+    Random rng(5);
+    for (int i = 0; i < 3000; ++i) {
+        t0.load(rng.uniformInt(256u << 10) & ~Addr(63), 0x1);
+        t1.load(rng.uniformInt(256u << 10) & ~Addr(63), 0x2);
+    }
+    std::vector<trace::RecordBlocks> threads;
+    threads.push_back(t0.take());
+    threads.push_back(t1.take());
+    trace::TraceBuffer buf =
+        trace::TraceMerger().merge(std::move(threads));
+
+    mem::HierarchyParams hp =
+        mem::makeHierarchyParams(mem::StackOption::Dram32MB);
+    hp.dram_cache.tag_latency = 20000;
+    mem::MemoryHierarchy h_fast(hp);
+    mem::MemoryHierarchy h_ref(hp);
+    mem::TraceEngine eng;
+    mem::EngineResult fast = eng.run(buf, h_fast);
+    mem::EngineResult ref =
+        mem::runReferenceReplay(eng.params(), buf, h_ref);
+    expectResultsIdentical(fast, ref, "overflow burst");
+    EXPECT_GT(fast.counters.value("replay.calendar_overflows"), 0.0);
 }
 
 TEST(MemReplayDeterminism, FastEngineMatchesReferenceAllTagModes)

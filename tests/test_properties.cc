@@ -145,7 +145,7 @@ mixedTrace(std::uint64_t seed, std::size_t n = 30000)
         else
             t1.load(a1, 0x2);
     }
-    std::vector<std::vector<trace::TraceRecord>> threads;
+    std::vector<trace::RecordBlocks> threads;
     threads.push_back(t0.take());
     threads.push_back(t1.take());
     return trace::TraceMerger().merge(std::move(threads));
@@ -334,7 +334,7 @@ TEST(TraceProperties, MergedTraceKeepsPerThreadOrder)
         t0.load(0x1000 + Addr(i) * 8, 0x1);
         t1.load(0x9000 + Addr(i) * 8, 0x2);
     }
-    std::vector<std::vector<trace::TraceRecord>> threads;
+    std::vector<trace::RecordBlocks> threads;
     threads.push_back(t0.take());
     threads.push_back(t1.take());
     trace::TraceBuffer merged =

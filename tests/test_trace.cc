@@ -178,6 +178,32 @@ TEST(Writer, TakeResetsState)
     EXPECT_FALSE(recs[ld].hasDep());
 }
 
+TEST(Writer, StorageStaysWithinOneBlockOf32BytesPerRecord)
+{
+    // Blocks never move or regrow, so however many records a thread
+    // writes, its store holds 32 B/record plus at most one partly
+    // filled block, plus the block table: one 8 B slot per block, at
+    // most doubled by the table's own growth.
+    constexpr std::size_t kBlockBytes =
+        RecordBlocks::kBlockRecords * sizeof(TraceRecord);
+    static_assert(sizeof(TraceRecord) == 32);
+    RecordBlocks blocks;
+    EXPECT_EQ(blocks.storageBytes(), 0u);
+    TraceRecord rec;
+    for (std::size_t n = 1; n <= 300000; ++n) {
+        rec.addr = n * 8;
+        blocks.push(rec);
+        const std::size_t num_blocks =
+            (n + RecordBlocks::kBlockRecords - 1) /
+            RecordBlocks::kBlockRecords;
+        ASSERT_LE(blocks.storageBytes(),
+                  32 * n + kBlockBytes + 16 * num_blocks)
+            << "after " << n << " records";
+    }
+    EXPECT_EQ(blocks.size(), 300000u);
+    EXPECT_EQ(blocks[299999].addr, 300000u * 8);
+}
+
 // ---------------------------------------------------------------------
 // merger
 // ---------------------------------------------------------------------
@@ -190,7 +216,7 @@ TEST(Merger, InterleavesInChunks)
     for (int i = 0; i < 4; ++i)
         t1.load(0x2000 + i * 64, 0x2);
 
-    std::vector<std::vector<TraceRecord>> threads;
+    std::vector<RecordBlocks> threads;
     threads.push_back(t0.take());
     threads.push_back(t1.take());
     TraceBuffer merged = TraceMerger(2).merge(std::move(threads));
@@ -212,7 +238,7 @@ TEST(Merger, RemapsDependencies)
     (void)ld1;
     t0.load(0x1040, 0x4);
 
-    std::vector<std::vector<TraceRecord>> threads;
+    std::vector<RecordBlocks> threads;
     threads.push_back(t0.take());
     threads.push_back(t1.take());
     TraceBuffer merged = TraceMerger(1).merge(std::move(threads));
@@ -236,7 +262,7 @@ TEST(Merger, HandlesUnevenThreads)
         t0.load(0x1000 + i * 64, 0x1);
     t1.load(0x2000, 0x2);
 
-    std::vector<std::vector<TraceRecord>> threads;
+    std::vector<RecordBlocks> threads;
     threads.push_back(t0.take());
     threads.push_back(t1.take());
     TraceBuffer merged = TraceMerger(4).merge(std::move(threads));
@@ -258,7 +284,7 @@ TEST_P(MergerChunkTest, PreservesAllRecordsAndValidity)
         t1.store(0x8000 + i * 8, 0x2);
         t1.load(0x8000 + i * 8, 0x3);
     }
-    std::vector<std::vector<TraceRecord>> threads;
+    std::vector<RecordBlocks> threads;
     threads.push_back(t0.take());
     threads.push_back(t1.take());
     TraceBuffer merged = TraceMerger(GetParam()).merge(
@@ -282,6 +308,15 @@ tempPath(const char *name)
     return (std::filesystem::temp_directory_path() / name).string();
 }
 
+/** A one-thread trace: the tracer's records, in order. */
+TraceBuffer
+singleThread(ThreadTracer &tracer)
+{
+    std::vector<RecordBlocks> threads;
+    threads.push_back(tracer.take());
+    return TraceMerger().merge(std::move(threads));
+}
+
 } // anonymous namespace
 
 TEST(TraceFile, RoundTrip)
@@ -290,7 +325,7 @@ TEST(TraceFile, RoundTrip)
     RecordId prev = kNone;
     for (int i = 0; i < 1000; ++i)
         prev = tracer.load(0x1000 + i * 16, 0x400000 + i, prev, 16);
-    TraceBuffer original(tracer.take());
+    TraceBuffer original = singleThread(tracer);
 
     std::string path = tempPath("stack3d_trace_test.bin");
     writeTraceFile(path, original);
@@ -324,7 +359,7 @@ TEST(TraceFile, TruncatedIsFatal)
     ThreadTracer tracer(0);
     for (int i = 0; i < 100; ++i)
         tracer.load(0x1000 + i * 64, 0x1);
-    TraceBuffer buf(tracer.take());
+    TraceBuffer buf = singleThread(tracer);
     std::string path = tempPath("stack3d_truncated.bin");
     writeTraceFile(path, buf);
     std::filesystem::resize_file(path, 100);

@@ -109,6 +109,23 @@ TEST_P(KernelTest, FootprintMatchesTouchedLines)
               kernel->nominalFootprintBytes(cfg) * 5 / 4 + 65536);
 }
 
+TEST_P(KernelTest, TraceHoldsEachRecordOnce)
+{
+    // Counted from container capacities, not sampled: a trace is its
+    // columns (8 B addr, 8 B ip, 4 B dep, 1 B each cpu/op/size) and
+    // the 4 B per-cpu order index, 27 B/record, plus one 8 B order
+    // offset per cpu and one more.
+    auto kernel = makeRmsKernel(GetParam());
+    trace::TraceBuffer buf = kernel->generate(smallConfig());
+    const trace::TraceColumns &cols = buf.columns();
+    const std::size_t n = buf.size();
+    EXPECT_LE(cols.ownedBytes(), 27 * n + 8 * (cols.numCpus() + 1));
+    EXPECT_LE(cols.ownedBytes(), 31 * n);
+    EXPECT_EQ(cols.decodeBatches(),
+              (n + trace::TraceColumns::kDecodeBatch - 1) /
+                  trace::TraceColumns::kDecodeBatch);
+}
+
 TEST_P(KernelTest, HasDescription)
 {
     auto kernel = makeRmsKernel(GetParam());
