@@ -45,6 +45,33 @@ optionCellLabel(const std::string &benchmark, std::size_t option)
            mem::stackOptionName(kStackOptions[option]);
 }
 
+/** The trace-generation inputs of @p benchmark under @p options. */
+workloads::WorkloadConfig
+kernelWorkload(const std::string &benchmark, const RunOptions &options)
+{
+    workloads::WorkloadConfig wcfg;
+    wcfg.scale = options.scale;
+    wcfg.seed = deriveCellSeed(options.seed, cellKey(benchmark));
+    wcfg.records_per_thread = std::uint64_t(
+        double(recommendedRecordsPerThread(benchmark)) * options.depth);
+    if (wcfg.records_per_thread < 1000)
+        wcfg.records_per_thread = 1000;
+    return wcfg;
+}
+
+/** Estimated heap held by a counter set: entries plus their names. */
+std::size_t
+counterBytes(const obs::CounterSet &c)
+{
+    std::size_t bytes = sizeof(c);
+    for (const obs::CounterSet::Scalar &s : c.scalars())
+        bytes += sizeof(s) + s.first.size();
+    for (const obs::CounterSet::Series &s : c.series())
+        bytes += sizeof(s) + s.first.size() +
+                 s.second.size() * sizeof(double);
+    return bytes;
+}
+
 /**
  * Recompute the ratio-style keys of a cross-benchmark counter
  * aggregate. accumulate() sums everything, which is right for raw
@@ -94,6 +121,53 @@ fixupAggregateRatios(obs::CounterSet &c, mem::StackOption option)
 
 } // anonymous namespace
 
+bool
+MemoryRowMemo::tryGet(const Key &key, Row &out)
+{
+    std::lock_guard<std::mutex> lock(_mutex);
+    auto it = std::find_if(_entries.begin(), _entries.end(),
+                           [&](const Entry &e) { return e.key == key; });
+    if (it == _entries.end()) {
+        ++_stats.misses;
+        return false;
+    }
+    _entries.splice(_entries.begin(), _entries, it);
+    out = it->row;
+    ++_stats.hits;
+    return true;
+}
+
+void
+MemoryRowMemo::put(Key key, Row row)
+{
+    std::size_t bytes = sizeof(Entry) + key.benchmark.size() +
+                        row.row.benchmark.size();
+    for (const obs::CounterSet &c : row.counters)
+        bytes += counterBytes(c);
+
+    std::lock_guard<std::mutex> lock(_mutex);
+    for (const Entry &e : _entries) {
+        if (e.key == key)
+            return;   // a concurrent study computed it first
+    }
+    _entries.push_front(Entry{std::move(key), std::move(row), bytes});
+    _stats.bytes += bytes;
+    while (_stats.bytes > kByteBudget && !_entries.empty()) {
+        _stats.bytes -= _entries.back().bytes;
+        _entries.pop_back();
+        ++_stats.evictions;
+    }
+}
+
+MemoryRowMemo::Stats
+MemoryRowMemo::stats() const
+{
+    std::lock_guard<std::mutex> lock(_mutex);
+    Stats s = _stats;
+    s.entries = _entries.size();
+    return s;
+}
+
 StudyReport<MemoryStudyResult>
 runMemoryStudy(const RunOptions &options, const MemoryStudySpec &spec)
 {
@@ -121,6 +195,26 @@ runMemoryStudy(const RunOptions &options, const MemoryStudySpec &spec)
     MemoryStudyResult &result = report.payload;
     result.rows.resize(num_benchmarks);
     std::vector<trace::TraceBuffer> traces(num_benchmarks);
+    const std::size_t num_options = kStackOptions.size();
+    std::vector<obs::CounterSet> cell_counters(num_benchmarks *
+                                               num_options);
+
+    // ---- recall: rows the memo already holds ----------------------
+    // A recalled kernel's cells still run below, with empty bodies.
+    std::vector<MemoryRowMemo::Key> keys(num_benchmarks);
+    std::vector<char> recalled(num_benchmarks, 0);
+    for (std::size_t b = 0; b < num_benchmarks; ++b) {
+        keys[b] = {benchmarks[b], kernelWorkload(benchmarks[b], options),
+                   spec.engine};
+        MemoryRowMemo::Row hit;
+        if (options.memo && options.memo->tryGet(keys[b], hit)) {
+            result.rows[b] = std::move(hit.row);
+            for (std::size_t o = 0; o < num_options; ++o)
+                cell_counters[b * num_options + o] =
+                    std::move(hit.counters[o]);
+            recalled[b] = 1;
+        }
+    }
 
     // Serial when threads == 1 (inline pool: tasks run at submit()).
     unsigned workers = options.resolvedThreads();
@@ -130,17 +224,10 @@ runMemoryStudy(const RunOptions &options, const MemoryStudySpec &spec)
     exec::parallelFor(pool, num_benchmarks, [&](std::size_t b) {
         const std::string &name = benchmarks[b];
         tracker.runCell(b * kCellsPerBenchmark, name + "/trace", [&] {
+            if (recalled[b])
+                return;
             auto kernel = workloads::makeRmsKernel(name);
-
-            workloads::WorkloadConfig wcfg;
-            wcfg.scale = options.scale;
-            wcfg.seed = deriveCellSeed(options.seed, cellKey(name));
-            wcfg.records_per_thread = std::uint64_t(
-                double(recommendedRecordsPerThread(name)) *
-                options.depth);
-            if (wcfg.records_per_thread < 1000)
-                wcfg.records_per_thread = 1000;
-
+            const workloads::WorkloadConfig &wcfg = keys[b].workload;
             traces[b] = kernel->generate(wcfg);
 
             MemoryStudyRow &row = result.rows[b];
@@ -152,9 +239,6 @@ runMemoryStudy(const RunOptions &options, const MemoryStudySpec &spec)
     });
 
     // ---- stage 2: benchmark x option engine cells ------------------
-    const std::size_t num_options = kStackOptions.size();
-    std::vector<obs::CounterSet> cell_counters(num_benchmarks *
-                                               num_options);
     exec::parallelFor(
         pool, num_benchmarks * num_options, [&](std::size_t i) {
             std::size_t b = i / num_options;
@@ -162,6 +246,8 @@ runMemoryStudy(const RunOptions &options, const MemoryStudySpec &spec)
             std::size_t cell = b * kCellsPerBenchmark + 1 + o;
             tracker.runCell(cell, optionCellLabel(benchmarks[b], o),
                             [&] {
+                if (recalled[b])
+                    return;
                 mem::HierarchyParams hp =
                     mem::makeHierarchyParams(kStackOptions[o]);
                 mem::MemoryHierarchy hier(hp);
@@ -219,6 +305,19 @@ runMemoryStudy(const RunOptions &options, const MemoryStudySpec &spec)
                      ".");
     }
     pool.appendCounters(report.meta.counters);
+
+    // Every cell succeeded: remember the rows computed here.
+    if (options.memo) {
+        for (std::size_t b = 0; b < num_benchmarks; ++b) {
+            if (recalled[b])
+                continue;
+            MemoryRowMemo::Row row{result.rows[b], {}};
+            for (std::size_t o = 0; o < num_options; ++o)
+                row.counters[o] =
+                    std::move(cell_counters[b * num_options + o]);
+            options.memo->put(std::move(keys[b]), std::move(row));
+        }
+    }
     return report;
 }
 

@@ -10,11 +10,16 @@
 #define STACK3D_CORE_MEMORY_STUDY_HH
 
 #include <array>
+#include <cstdint>
+#include <list>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/run_options.hh"
 #include "mem/engine.hh"
+#include "obs/metrics.hh"
+#include "workloads/config.hh"
 #include "workloads/registry.hh"
 
 namespace stack3d {
@@ -79,6 +84,86 @@ struct MemoryStudySpec
 };
 
 /**
+ * Finished memory-study rows kept across study runs, so that a study
+ * repeating a kernel under the same inputs recalls the kernel's row
+ * instead of regenerating its trace and replaying it on all four
+ * options. The granularity is a kernel row because a study always
+ * runs all four options of a kernel.
+ *
+ * A row is a pure function of its Key (the determinism invariant), so
+ * a recalled row is bit-identical to a recomputed one. The key is the
+ * complete set of inputs compared memberwise, not a digest, so no
+ * collision can return another kernel's row.
+ *
+ * Bounded by a byte budget; the least recently used row is evicted.
+ * Thread-safe: concurrent studies may share one memo. Two studies
+ * that miss the same key at once both compute it; the second put()
+ * leaves the first row in place.
+ */
+class MemoryRowMemo
+{
+  public:
+    /** Bound on the rows' estimated heap: about 220 kernel rows (a
+     *  row's four counter sets hold about 167 scalars, ~9.3 KB). */
+    static constexpr std::size_t kByteBudget = std::size_t(2) << 20;
+
+    /** Every input a kernel's row depends on. */
+    struct Key
+    {
+        std::string benchmark;
+        workloads::WorkloadConfig workload;
+        mem::EngineParams engine;
+
+        bool operator==(const Key &) const = default;
+    };
+
+    /** Everything a kernel's five cells put into a report. */
+    struct Row
+    {
+        MemoryStudyRow row;
+        /** Each option cell's engine counters, in kStackOptions order. */
+        std::array<obs::CounterSet, kStackOptions.size()> counters;
+    };
+
+    /** Activity and occupancy of one memo. */
+    struct Stats
+    {
+        std::uint64_t hits = 0;
+        std::uint64_t misses = 0;
+        std::uint64_t evictions = 0;
+        std::size_t entries = 0;
+        std::size_t bytes = 0;   ///< estimated heap held by the rows
+    };
+
+    MemoryRowMemo() = default;
+    MemoryRowMemo(const MemoryRowMemo &) = delete;
+    MemoryRowMemo &operator=(const MemoryRowMemo &) = delete;
+
+    /**
+     * Copy the row stored under @p key into @p out and mark it most
+     * recently used. Counts a hit or a miss.
+     */
+    [[nodiscard]] bool tryGet(const Key &key, Row &out);
+
+    /** Store @p row under @p key; a key already held is kept as is. */
+    void put(Key key, Row row);
+
+    [[nodiscard]] Stats stats() const;
+
+  private:
+    struct Entry
+    {
+        Key key;
+        Row row;
+        std::size_t bytes = 0;
+    };
+
+    mutable std::mutex _mutex;
+    std::list<Entry> _entries;   ///< front = most recently used
+    Stats _stats;
+};
+
+/**
  * Run the memory study under the unified Run/Report API.
  *
  * Cell decomposition: per benchmark, one trace-generation cell
@@ -88,6 +173,12 @@ struct MemoryStudySpec
  * cells); engine cells fan out after the generation barrier. Each
  * benchmark's trace seed derives from (options.seed, benchmark name),
  * so results are bit-identical for every thread count.
+ *
+ * With options.memo set, a kernel the memo holds skips generation and
+ * replay: its five cells still run (same labels, cancel checkpoints
+ * and fault schedule) but only copy the recalled row, so payload and
+ * meta.counters match a cold run. Rows computed here are put into the
+ * memo only after every cell of the study has succeeded.
  */
 StudyReport<MemoryStudyResult> runMemoryStudy(
     const RunOptions &options, const MemoryStudySpec &spec = {});

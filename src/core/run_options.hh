@@ -41,6 +41,8 @@ class JsonWriter;
 
 namespace core {
 
+class MemoryRowMemo;
+
 /** How chatty a study run is. */
 enum class Verbosity { Silent, Normal, Verbose };
 
@@ -152,6 +154,14 @@ struct RunOptions
      * results, only whether they arrive.
      */
     const CancelToken *cancel = nullptr;
+
+    /**
+     * Optional memo of finished memory-study rows, shared across runs
+     * (not owned; may be null). Only runMemoryStudy reads it. Like
+     * cancel, it is excluded from the request digest: a recalled row
+     * is bit-identical to a recomputed one.
+     */
+    MemoryRowMemo *memo = nullptr;
 
     /** The thread count after resolving 0 -> hardware cores. */
     [[nodiscard]] unsigned resolvedThreads() const;

@@ -47,6 +47,9 @@ struct EngineParams
      * skips each benchmark's initialization phase.
      */
     double warmup_fraction = 0.2;
+
+    /** Memberwise, so a field added later is compared too. */
+    bool operator==(const EngineParams &) const = default;
 };
 
 /** Results of one engine run. */

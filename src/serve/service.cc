@@ -103,6 +103,8 @@ StudyService::StudyService(const ServiceOptions &options)
     _registry.tagGauge("serve.draining");
     _registry.tagGauge("serve.in_flight");
     _registry.tagGauge("serve.cache.entries");
+    _registry.tagGauge("serve.memo.entries");
+    _registry.tagGauge("serve.memo.bytes");
     _registry.tagGauge("serve.queue.high_water");
     // Quantiles are point-in-time estimates; the latency .count and
     // .total_s keys stay counters (rate() over them is meaningful).
@@ -158,6 +160,7 @@ StudyService::execute(const Request &request,
     opts.verbosity = core::Verbosity::Silent;
     opts.progress = nullptr;
     opts.cancel = cancel;
+    opts.memo = _options.cache_entries > 0 ? &_memo : nullptr;
 
     std::ostringstream os;
     JsonWriter w(os, /*compact=*/true);
@@ -624,6 +627,7 @@ StudyService::appendServeCounters(obs::CounterSet &c) const
 {
     obs::Histogram::Snapshot hit = _hit_latency.snapshot();
     obs::Histogram::Snapshot cold = _cold_latency.snapshot();
+    core::MemoryRowMemo::Stats memo = _memo.stats();
     std::lock_guard<std::mutex> lock(_mutex);
     c.set("serve.requests", double(_n_requests));
     c.set("serve.ok", double(_n_ok));
@@ -645,6 +649,11 @@ StudyService::appendServeCounters(obs::CounterSet &c) const
     c.set("serve.cache.scrubbed", double(_cache.stats().scrubbed));
     c.set("serve.cache.entries", double(_cache.size()));
     c.set("serve.coalesced", double(_n_coalesced));
+    c.set("serve.memo.hits", double(memo.hits));
+    c.set("serve.memo.misses", double(memo.misses));
+    c.set("serve.memo.evictions", double(memo.evictions));
+    c.set("serve.memo.entries", double(memo.entries));
+    c.set("serve.memo.bytes", double(memo.bytes));
     c.set("serve.study.mem.replay.batches", _replay_batches);
     c.set("serve.study.mem.tag_probe.probes", _tag_probes);
     c.set("serve.queue.high_water", double(_in_flight_high_water));

@@ -43,6 +43,10 @@
  * carry byte-identical reports. The digest excludes threads and
  * verbosity — the determinism guarantee makes results independent of
  * them — so e.g. a 4-thread re-run of a cached 1-thread request hits.
+ * Below the report cache, a core::MemoryRowMemo (on whenever
+ * cache_entries > 0) recalls finished memory-study kernel rows, so a
+ * study that adds a kernel to an earlier one replays only the new
+ * kernel.
  */
 
 #ifndef STACK3D_SERVE_SERVICE_HH
@@ -59,6 +63,7 @@
 #include <vector>
 
 #include "common/cancel.hh"
+#include "core/memory_study.hh"
 #include "exec/pool.hh"
 #include "obs/histogram.hh"
 #include "obs/metrics.hh"
@@ -248,6 +253,9 @@ class StudyService
     void pollFlightDump();
 
     ServiceOptions _options;
+    /** Memory-study rows recalled across requests (own lock).
+     *  Declared before _pool so it outlives the pool's tasks. */
+    core::MemoryRowMemo _memo;
     exec::ThreadPool _pool;
 
     mutable std::mutex _mutex;
@@ -272,9 +280,9 @@ class StudyService
     double _cold_seconds = 0.0;
     std::uint64_t _n_hit = 0;
     std::uint64_t _n_cold = 0;
-    /** Replay-path totals folded out of memory-study reports, so the
-     *  daemon's /metrics shows how much trace-replay work it has
-     *  done. */
+    /** Replay-path totals folded out of memory-study reports: the
+     *  simulated work every cold report carries, rows recalled from
+     *  _memo included (serve.memo.* counts what was recalled). */
     double _replay_batches = 0.0;
     double _tag_probes = 0.0;
 

@@ -35,6 +35,9 @@ struct WorkloadConfig
      * values to run quickly.
      */
     double scale = 1.0;
+
+    /** Memberwise, so a field added later is compared too. */
+    bool operator==(const WorkloadConfig &) const = default;
 };
 
 } // namespace workloads

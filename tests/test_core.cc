@@ -7,8 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/cancel.hh"
+#include "common/fault.hh"
+#include "common/json.hh"
 #include "core/logic_study.hh"
 #include "core/memory_study.hh"
+#include "core/study_json.hh"
 #include "core/thermal_study.hh"
 
 using namespace stack3d;
@@ -66,6 +76,183 @@ TEST(MemoryStudy, UnknownBenchmarkIsFatal)
     MemoryStudySpec spec;
     spec.benchmarks = {"bogus"};
     EXPECT_THROW(runMemoryStudy(opts, spec), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------
+// memory-row memo
+// ---------------------------------------------------------------------
+
+namespace {
+
+RunOptions
+memoOptions(MemoryRowMemo *memo)
+{
+    RunOptions opts;
+    opts.seed = 5;
+    opts.depth = 0.01;
+    opts.scale = 0.2;
+    opts.verbosity = Verbosity::Silent;
+    opts.memo = memo;
+    return opts;
+}
+
+MemoryStudySpec
+kernels(std::vector<std::string> names)
+{
+    MemoryStudySpec spec;
+    spec.benchmarks = std::move(names);
+    return spec;
+}
+
+std::string
+payloadJson(const MemoryStudyResult &result)
+{
+    std::ostringstream os;
+    JsonWriter w(os, /*compact=*/true);
+    writeMemoryStudyResultJson(w, result);
+    return os.str();
+}
+
+/** Cancels its token once the first cell has finished. */
+class CancelAfterFirstCell : public ProgressSink
+{
+  public:
+    explicit CancelAfterFirstCell(CancelToken &token) : _token(token) {}
+
+    void
+    cellFinished(const CellInfo &, double, double) override
+    {
+        _token.cancel();
+    }
+
+  private:
+    CancelToken &_token;
+};
+
+} // anonymous namespace
+
+TEST(MemoryRowMemo, RecalledRowMatchesColdRun)
+{
+    auto cold = runMemoryStudy(memoOptions(nullptr),
+                               kernels({"svd", "gauss"}));
+
+    MemoryRowMemo memo;
+    (void)runMemoryStudy(memoOptions(&memo), kernels({"svd"}));
+    auto warm = runMemoryStudy(memoOptions(&memo),
+                               kernels({"svd", "gauss"}));
+    MemoryRowMemo::Stats stats = memo.stats();
+    EXPECT_EQ(stats.hits, 1u);     // svd recalled
+    EXPECT_EQ(stats.misses, 2u);   // svd, then gauss
+    EXPECT_EQ(stats.entries, 2u);
+    EXPECT_GT(stats.bytes, 0u);
+
+    EXPECT_EQ(payloadJson(warm.payload), payloadJson(cold.payload));
+    EXPECT_EQ(warm.meta.counters.scalars(), cold.meta.counters.scalars());
+    ASSERT_EQ(warm.meta.cells.size(), cold.meta.cells.size());
+    for (std::size_t i = 0; i < cold.meta.cells.size(); ++i)
+        EXPECT_EQ(warm.meta.cells[i].label, cold.meta.cells[i].label);
+}
+
+TEST(MemoryRowMemo, AnyChangedInputMisses)
+{
+    MemoryRowMemo memo;
+    (void)runMemoryStudy(memoOptions(&memo), kernels({"svd"}));
+    RunOptions threads2 = memoOptions(&memo);
+    threads2.threads = 2;   // not an input: still a hit
+    (void)runMemoryStudy(threads2, kernels({"svd"}));
+    ASSERT_EQ(memo.stats().hits, 1u);
+
+    using Change = std::function<void(RunOptions &, MemoryStudySpec &)>;
+    const std::vector<std::pair<const char *, Change>> changes = {
+        {"seed", [](RunOptions &o, MemoryStudySpec &) { o.seed = 6; }},
+        {"depth",
+         [](RunOptions &o, MemoryStudySpec &) { o.depth = 0.02; }},
+        {"scale",
+         [](RunOptions &o, MemoryStudySpec &) { o.scale = 0.25; }},
+        {"window",
+         [](RunOptions &, MemoryStudySpec &s) { s.engine.window = 64; }},
+        {"issue_width",
+         [](RunOptions &, MemoryStudySpec &s) {
+             s.engine.issue_width = 2;
+         }},
+        {"honor_dependencies",
+         [](RunOptions &, MemoryStudySpec &s) {
+             s.engine.honor_dependencies = false;
+         }},
+        {"warmup_fraction",
+         [](RunOptions &, MemoryStudySpec &s) {
+             s.engine.warmup_fraction = 0.1;
+         }},
+    };
+    for (const auto &change : changes) {
+        RunOptions opts = memoOptions(&memo);
+        MemoryStudySpec spec = kernels({"svd"});
+        change.second(opts, spec);
+        MemoryRowMemo::Stats before = memo.stats();
+        (void)runMemoryStudy(opts, spec);
+        MemoryRowMemo::Stats after = memo.stats();
+        EXPECT_EQ(after.hits, before.hits) << change.first;
+        EXPECT_EQ(after.misses, before.misses + 1) << change.first;
+    }
+}
+
+TEST(MemoryRowMemo, FailedOrCancelledStudyInsertsNothing)
+{
+    MemoryRowMemo memo;
+    std::string error;
+    ASSERT_TRUE(FaultRegistry::configure("study.cell.fail:1.0", 1, error))
+        << error;
+    EXPECT_THROW(runMemoryStudy(memoOptions(&memo), kernels({"svd"})),
+                 std::runtime_error);
+    FaultRegistry::reset();
+    EXPECT_EQ(memo.stats().entries, 0u);
+
+    // Cancelled after the trace cell: the option cells never finish.
+    CancelToken token;
+    CancelAfterFirstCell sink(token);
+    RunOptions opts = memoOptions(&memo);
+    opts.cancel = &token;
+    opts.progress = &sink;
+    EXPECT_THROW(runMemoryStudy(opts, kernels({"svd"})), CancelledError);
+    EXPECT_EQ(memo.stats().entries, 0u);
+    EXPECT_EQ(memo.stats().bytes, 0u);
+}
+
+TEST(MemoryRowMemo, EvictsLeastRecentlyUsedRowOverBudget)
+{
+    // Synthetic rows of about 60 KB: the budget holds a few dozen.
+    MemoryRowMemo::Row big;
+    for (int i = 0; i < 1000; ++i)
+        big.counters[0].set("counter." + std::to_string(i) + ".padding",
+                            double(i));
+    auto key = [](std::uint64_t seed) {
+        MemoryRowMemo::Key k{"svd", {}, {}};
+        k.workload.seed = seed;
+        return k;
+    };
+    MemoryRowMemo memo;
+    MemoryRowMemo::Row out;
+    memo.put(key(0), big);
+    std::uint64_t next = 1;
+    while (memo.stats().evictions == 0) {
+        ASSERT_TRUE(memo.tryGet(key(0), out));   // keep key 0 recent
+        memo.put(key(next++), big);
+        ASSERT_LT(next, 1000u);
+    }
+    MemoryRowMemo::Stats full = memo.stats();
+    EXPECT_EQ(full.evictions, 1u);
+    EXPECT_EQ(full.entries, next - 1);
+    EXPECT_LE(full.bytes, MemoryRowMemo::kByteBudget);
+    EXPECT_GT(full.entries, 10u);
+    // The least recently used row went, not the oldest one.
+    EXPECT_TRUE(memo.tryGet(key(0), out));
+    EXPECT_FALSE(memo.tryGet(key(1), out));
+    EXPECT_TRUE(memo.tryGet(key(2), out));
+
+    // Putting a key already held changes nothing.
+    memo.put(key(2), big);
+    EXPECT_EQ(memo.stats().entries, full.entries);
+    EXPECT_EQ(memo.stats().bytes, full.bytes);
 }
 
 // ---------------------------------------------------------------------

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
+#include <vector>
+
 #include "core/logic_study.hh"
 #include "core/memory_study.hh"
 #include "core/run_options.hh"
@@ -83,6 +86,43 @@ TEST(ParallelDeterminism, MemoryStudyMatchesSerial)
     EXPECT_EQ(serial.meta.cells.size(), 15u);
     for (const CellTiming &cell : serial.meta.cells)
         EXPECT_GT(cell.seconds, 0.0) << cell.label;
+}
+
+TEST(ParallelDeterminism, SharedMemoUnderConcurrentStudies)
+{
+    // Two 4-thread studies that share svd run at once on one memo:
+    // both may miss svd and put it, and each must still equal its
+    // serial memo-less run bit for bit.
+    const MemoryStudySpec specs[2] = {{{"svd", "gauss"}, {}},
+                                      {{"svd", "sAVDF"}, {}}};
+    MemoryRowMemo memo;
+    for (int round = 0; round < 2; ++round) {   // cold, then recalled
+        exec::ThreadPool pool(2);
+        std::vector<std::future<StudyReport<MemoryStudyResult>>> runs;
+        for (const MemoryStudySpec &spec : specs) {
+            runs.push_back(pool.submit([&memo, &spec] {
+                RunOptions opts = tinyOptions(4);
+                opts.memo = &memo;
+                return runMemoryStudy(opts, spec);
+            }));
+        }
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            auto shared = runs[i].get();
+            auto serial = runMemoryStudy(tinyOptions(1), specs[i]);
+            expectRowsIdentical(serial.payload, shared.payload);
+            for (const auto &entry : serial.meta.counters.scalars()) {
+                if (entry.first.compare(0, 4, "mem.") != 0)
+                    continue;   // pool.* counts differ with threads
+                EXPECT_EQ(shared.meta.counters.value(entry.first),
+                          entry.second)
+                    << entry.first;
+            }
+        }
+    }
+    MemoryRowMemo::Stats stats = memo.stats();
+    EXPECT_EQ(stats.entries, 3u);   // svd, gauss, sAVDF: once each
+    EXPECT_EQ(stats.hits + stats.misses, 8u);
+    EXPECT_GE(stats.hits, 4u);      // the second round recalls all
 }
 
 TEST(ParallelDeterminism, MemoryStudySeedChangesResults)

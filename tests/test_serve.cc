@@ -230,6 +230,17 @@ const char *kThermalRequest =
     "\"id\": \"r1\", \"options\": {\"seed\": 3}, "
     "\"spec\": {\"die_nx\": 14, \"die_ny\": 12}}";
 
+/** A small memory request over @p benchmarks (a JSON array body). */
+std::string
+memoryRequest(const std::string &benchmarks)
+{
+    return "{\"schema_version\": 2, \"study\": \"memory\", "
+           "\"options\": {\"seed\": 4, \"depth\": 0.01, "
+           "\"scale\": 0.2}, "
+           "\"spec\": {\"benchmarks\": [" +
+           benchmarks + "]}}";
+}
+
 } // anonymous namespace
 
 TEST(Request, ParsesAndDigestIsReproducible)
@@ -781,6 +792,24 @@ TEST(StudyService, StatsHealthFlightJsonShapes)
     EXPECT_EQ(
         hist->findPath("serve.latency.hit_s.count")->number, 1.0);
 
+    // The memory-row memo's keys are present before any memory study.
+    for (const char *key :
+         {"counters.serve.memo.hits", "counters.serve.memo.misses",
+          "counters.serve.memo.evictions", "counters.serve.memo.entries",
+          "counters.serve.memo.bytes"}) {
+        ASSERT_NE(stats.findPath(key), nullptr) << key;
+        EXPECT_EQ(stats.findPath(key)->number, 0.0) << key;
+    }
+    using obs::MetricKind;
+    EXPECT_EQ(service.registry().kindOf("serve.memo.entries"),
+              MetricKind::Gauge);
+    EXPECT_EQ(service.registry().kindOf("serve.memo.bytes"),
+              MetricKind::Gauge);
+    for (const char *key : {"serve.memo.hits", "serve.memo.misses",
+                            "serve.memo.evictions"})
+        EXPECT_EQ(service.registry().kindOf(key), MetricKind::Counter)
+            << key;
+
     JsonValue health = parsed(service.healthJson());
     EXPECT_TRUE(health.findPath("health.ok")->boolean);
     EXPECT_FALSE(health.findPath("health.draining")->boolean);
@@ -793,6 +822,62 @@ TEST(StudyService, StatsHealthFlightJsonShapes)
     ASSERT_EQ(entries->array.size(), 2u);
     EXPECT_FALSE(entries->array[0].find("cached")->boolean);
     EXPECT_TRUE(entries->array[1].find("cached")->boolean);
+}
+
+TEST(StudyService, RepeatedKernelIsRecalledNotRecomputed)
+{
+    const std::string base = memoryRequest("\"svd\"");
+    const std::string variant = memoryRequest("\"svd\", \"sAVDF\"");
+
+    serve::StudyService fresh(tinyServiceOptions());
+    serve::ServeResult fresh_variant = fresh.handle(variant);
+    ASSERT_EQ(fresh_variant.status, serve::ServeResult::Status::Ok)
+        << fresh_variant.error;
+    obs::CounterSet cold = fresh.counters();
+    EXPECT_EQ(cold.value("serve.memo.hits"), 0.0);
+    EXPECT_EQ(cold.value("serve.memo.misses"), 2.0);
+
+    serve::StudyService service(tinyServiceOptions());
+    ASSERT_EQ(service.handle(base).status, serve::ServeResult::Status::Ok);
+    obs::CounterSet before = service.counters();
+    serve::ServeResult recalled = service.handle(variant);
+    ASSERT_EQ(recalled.status, serve::ServeResult::Status::Ok)
+        << recalled.error;
+    EXPECT_FALSE(recalled.cached);
+    obs::CounterSet after = service.counters();
+
+    // svd's row came from the memo; the report cannot tell.
+    EXPECT_EQ(after.value("serve.memo.hits"), 1.0);
+    EXPECT_EQ(after.value("serve.memo.misses"), 2.0);
+    EXPECT_EQ(after.value("serve.memo.entries"), 2.0);
+    EXPECT_GT(after.value("serve.memo.bytes"), 0.0);
+    EXPECT_EQ(
+        recalled.report_json.substr(
+            recalled.report_json.find("\"payload\"")),
+        fresh_variant.report_json.substr(
+            fresh_variant.report_json.find("\"payload\"")));
+    // The simulated-work sums count recalled rows as a cold run would.
+    for (const char *key : {"serve.study.mem.replay.batches",
+                            "serve.study.mem.tag_probe.probes"}) {
+        EXPECT_GT(cold.value(key), 0.0) << key;
+        EXPECT_EQ(after.value(key) - before.value(key), cold.value(key))
+            << key;
+    }
+}
+
+TEST(StudyService, MemoStaysOffWithoutCache)
+{
+    serve::ServiceOptions options = tinyServiceOptions();
+    options.cache_entries = 0;
+    serve::StudyService service(options);
+    ASSERT_EQ(service.handle(memoryRequest("\"svd\"")).status,
+              serve::ServeResult::Status::Ok);
+    ASSERT_EQ(service.handle(memoryRequest("\"svd\", \"sAVDF\"")).status,
+              serve::ServeResult::Status::Ok);
+    obs::CounterSet c = service.counters();
+    EXPECT_EQ(c.value("serve.memo.hits"), 0.0);
+    EXPECT_EQ(c.value("serve.memo.misses"), 0.0);
+    EXPECT_EQ(c.value("serve.memo.entries"), 0.0);
 }
 
 TEST(PipeServer, StatsHealthFlightOpsRoundTrip)
